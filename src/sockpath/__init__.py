@@ -39,22 +39,36 @@ from .probability import (
     permutation_count,
     tuple_probability,
 )
-from .process import (
-    DEFAULT_BRUTE_FORCE_CAP,
-    DEFAULT_SIMULATION_CAP,
-    ProcessTrace,
-    SimComparison,
-    SimulationReport,
-    Sock,
-    SockSequence,
-    brute_force_counts,
-    monte_carlo,
-    permutation_from_rank,
-    permutation_rank,
-    random_permutation,
-    run_process,
-    sequence_from_rank,
+
+# The process names load on first use (PEP 562): ``process`` imports
+# numpy, which the exact-law commands never need.
+_PROCESS_NAMES = frozenset(
+    {
+        "DEFAULT_BRUTE_FORCE_CAP",
+        "DEFAULT_SIMULATION_CAP",
+        "ProcessTrace",
+        "SimComparison",
+        "SimulationReport",
+        "Sock",
+        "SockSequence",
+        "brute_force_counts",
+        "monte_carlo",
+        "permutation_from_rank",
+        "permutation_rank",
+        "random_permutation",
+        "run_process",
+        "sequence_from_rank",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _PROCESS_NAMES:
+        from . import process
+
+        return getattr(process, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

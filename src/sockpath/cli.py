@@ -37,7 +37,6 @@ from .probability import (
     permutation_count,
     tuple_probability,
 )
-from .process import brute_force_counts, monte_carlo
 
 __all__ = ["main", "run"]
 
@@ -169,7 +168,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _resolve_workers() -> int:
-    """Worker bound from SOCKPATH_THREADS: unset -> 1, 0 -> auto, N -> N."""
+    """Worker bound from SOCKPATH_THREADS: unset -> 1, 0 -> all CPUs, N -> min(N, CPUs)."""
     raw = os.environ.get("SOCKPATH_THREADS")
     if raw is None:
         return 1
@@ -183,9 +182,8 @@ def _resolve_workers() -> int:
     if value < 0:
         print(f"warning: ignoring negative SOCKPATH_THREADS={raw}", file=sys.stderr)
         return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    cpus = os.cpu_count() or 1
+    return cpus if value == 0 else min(value, cpus)
 
 
 def _cap_override(args: argparse.Namespace) -> int | None:
@@ -253,6 +251,8 @@ def _cmd_ktuple(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .process import brute_force_counts  # numpy loads only for sampling commands
+
     cap = _cap_override(args)
     counts = brute_force_counts(args.n, cap=cap, workers=_resolve_workers())
     total = sum(counts.values())
@@ -274,6 +274,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .process import monte_carlo  # numpy loads only for sampling commands
+
     cap = _cap_override(args)
     report = monte_carlo(
         args.n, args.trials, args.seed, workers=_resolve_workers(), cap=cap

@@ -230,10 +230,15 @@ def path_of_ktuple(t: KTuple | Iterable[int]) -> DyckPath:
     return DyckPath._trusted(tuple(x))
 
 
+def _require_positive_int(name: str, value: object) -> None:
+    # bool is an int subclass, but True is not a count of anything.
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise MalformedInputError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_cap(n: int, cap: int | None, what: str) -> None:
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if n < 1:
-        raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+    _require_positive_int("n", n)
     if n > limit:
         raise ResourceLimitError(
             f"{what} for n = {n} exceeds the enumeration cap {limit} "

@@ -11,8 +11,12 @@ orderings of the ``2n`` distinguishable socks, so its probability is
 probability zero.
 
 Marginal statistics (the table count after draw ``k``, the running
-maximum) are computed by full enumeration over all valid tuples; no
-closed forms are assumed.
+maximum) come from the Markov chain on the table count instead of an
+enumeration of tuples: with ``h`` socks on the table after ``i`` draws,
+``h`` of the ``2n - i`` socks left complete a pair and the others open
+one. Counting orderings height by height takes O(n^2) integer steps for
+the law after one draw and O(n^3) for the maximum; no closed forms are
+assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import KTuple, _check_cap, path_of_ktuple, validate_ktuple
+from .core import KTuple, _check_cap, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -170,22 +174,44 @@ def _law_moments(law: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
     return mean, second - mean * mean
 
 
+def _height_counts(n: int, draws: int, ceiling: int) -> list[int]:
+    """Orderings of the first ``draws`` socks, indexed by the table count after them.
+
+    Entry ``h`` counts the sequences of ``draws`` distinct socks out of
+    ``2n`` that leave ``h`` socks on the table and never put more than
+    ``ceiling`` there. From height ``h`` after ``i`` draws, ``h`` of the
+    ``2n - i`` socks left step down and the other ``2n - i - h`` step up.
+    """
+    counts = [1] + [0] * ceiling
+    for i in range(draws):
+        left = 2 * n - i
+        nxt = [0] * (ceiling + 1)
+        for h, c in enumerate(counts):
+            if c:
+                if h:
+                    nxt[h - 1] += c * h
+                if h < ceiling:
+                    nxt[h + 1] += c * (left - h)
+        counts = nxt
+    return counts
+
+
 def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
     """Exact law of the table count after draw ``k``, with mean and variance.
 
-    Obtained by enumeration: sum each valid tuple's probability at the
-    height its path has at position ``k``.
+    The height counts of :func:`_height_counts` after ``k`` draws sum to
+    the ``(2n)! / (2n - k)!`` ordered choices of the first ``k`` socks;
+    each height's share of them is its probability.
     """
     _check_cap(n, cap, "marginal law")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 2 * n:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
         )
-    law: dict[int, Fraction] = {}
-    for t in _ktuples_iter(n):
-        h = path_of_ktuple(t)[k - 1]
-        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
-    law = dict(sorted(law.items()))
+    total = math.perm(2 * n, k)
+    law = {
+        h: Fraction(c, total) for h, c in enumerate(_height_counts(n, k, n)) if c
+    }
     mean, variance = _law_moments(law)
     return MarginalStat(n=n, k=k, law=law, mean=mean, variance=variance)
 
@@ -193,13 +219,18 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
 def max_distribution(n: int, *, cap: int | None = None) -> dict[int, Fraction]:
     """Exact law of the highest table count over a whole run.
 
-    The running maximum of a path equals the largest height a down-step
-    is taken from, i.e. the largest tuple entry, so the law is summed
-    directly over valid tuples. Keys ascend; masses sum to 1.
+    Capping the heights of :func:`_height_counts` at ``m`` and running
+    all ``2n`` draws counts, at height 0, the orderings whose maximum is
+    at most ``m``; the mass at ``m`` is the difference between
+    consecutive caps. Every height ``1..n`` has positive mass. Keys
+    ascend; masses sum to 1.
     """
     _check_cap(n, cap, "maximum law")
+    total = math.factorial(2 * n)
     law: dict[int, Fraction] = {}
-    for t in _ktuples_iter(n):
-        h = max(t)
-        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
-    return dict(sorted(law.items()))
+    below = 0
+    for m in range(1, n + 1):
+        upto = _height_counts(n, 2 * n, m)[0]
+        law[m] = Fraction(upto - below, total)
+        below = upto
+    return law

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DyckPath, KTuple
+from .core import DyckPath, KTuple, _require_positive_int
 from .errors import MalformedInputError, ResourceLimitError
 from .probability import full_distribution
 
@@ -158,8 +158,7 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
     is equally likely; the result is a deterministic function of the rng
     state.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+    _require_positive_int("n", n)
     socks = _all_socks(n)
     rng.shuffle(socks)
     return SockSequence(socks)
@@ -312,8 +311,7 @@ def brute_force_counts(
     cannot change a path); both modes agree exactly.
     """
     limit = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+    _require_positive_int("n", n)
     if n > limit:
         raise ResourceLimitError(
             f"brute force over (2*{n})! = {math.factorial(2 * n)} orderings exceeds "
@@ -455,10 +453,8 @@ def monte_carlo(
     never changes the result.
     """
     limit = DEFAULT_SIMULATION_CAP if cap is None else cap
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise MalformedInputError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise MalformedInputError(f"n must be a positive integer, got {n!r}")
+    _require_positive_int("trials", trials)
+    _require_positive_int("n", n)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise MalformedInputError(
             f"seed must be an unsigned 64-bit integer, got {seed!r}"

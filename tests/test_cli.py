@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sockpath.cli import format_decimal, main
+import sockpath
+from sockpath.cli import _resolve_workers, format_decimal, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -334,3 +338,37 @@ class TestUsageErrors:
     def test_missing_subcommand(self, cli):
         code, _, _ = cli()
         assert code == 2
+
+
+class TestWorkers:
+    def test_thread_count_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setenv("SOCKPATH_THREADS", "1000000")
+        assert _resolve_workers() == (os.cpu_count() or 1)
+
+
+class TestLazyNumpy:
+    def test_exact_commands_do_not_import_numpy(self):
+        code = (
+            "import sys, sockpath.cli\n"
+            "for argv in (['prob', '2,1'], ['path', '2,1'], ['ktuple', '1,2,1,0'],\n"
+            "             ['table', '3'], ['stats', '3', '--k', '2'],\n"
+            "             ['stats', '3', '--what', 'max']):\n"
+            "    assert sockpath.cli.main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = Path(sockpath.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_star_import_and_attribute_access_load_process(self):
+        namespace: dict = {}
+        exec("from sockpath import *", namespace)
+        assert set(sockpath.__all__) <= namespace.keys()
+        assert namespace["monte_carlo"] is sockpath.monte_carlo
+        assert sockpath.monte_carlo is sockpath.process.monte_carlo
+        with pytest.raises(AttributeError):
+            sockpath.no_such_name

@@ -60,10 +60,44 @@ def oracle_statistics(n):
     return tuple_counts, max_counts, height_counts
 
 
-@pytest.fixture(scope="module", params=[1, 2, 3])
+@pytest.fixture(scope="module", params=[1, 2, 3, 4])
 def oracle(request):
     n = request.param
     return n, oracle_statistics(n)
+
+
+# ----------------------------------------------------------------------
+# Enumeration oracles for the marginal laws: sum every valid tuple's
+# probability by its path's height after draw k, or by its largest entry
+# (the path's maximum). Catalan(n) work per law; the height recursion in
+# the package is gated against them wherever they run in reasonable time.
+# ----------------------------------------------------------------------
+
+def enumerated_xk_law(n, k):
+    law = {}
+    for t in enumerate_ktuples(n):
+        h = path_of_ktuple(t)[k - 1]
+        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
+    return dict(sorted(law.items()))
+
+
+def enumerated_max_law(n):
+    law = {}
+    for t in enumerate_ktuples(n):
+        h = max(t)
+        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
+    return dict(sorted(law.items()))
+
+
+def assert_same_xk(n, k):
+    stat = marginal_xk(n, k)
+    law = enumerated_xk_law(n, k)
+    # key order is output order for the CLI, so compare it too
+    assert list(stat.law.items()) == list(law.items())
+    mean = sum((h * p for h, p in law.items()), Fraction(0))
+    second = sum((h * h * p for h, p in law.items()), Fraction(0))
+    assert stat.mean == mean
+    assert stat.variance == second - mean * mean
 
 
 class TestTupleProbability:
@@ -239,6 +273,21 @@ class TestMarginals:
         with pytest.raises(ResourceLimitError):
             marginal_xk(15, 1)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_enumeration_every_k(self, n):
+        for k in range(1, 2 * n + 1):
+            assert_same_xk(n, k)
+
+    def test_matches_enumeration_n10(self):
+        assert_same_xk(10, 10)
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_mean_closed_form(self, n):
+        # E[X_k] = k(2n - k)/(2n - 1): each of the first k socks is still
+        # on the table iff its partner is among the last 2n - k.
+        for k in range(1, 2 * n + 1):
+            assert marginal_xk(n, k, cap=n).mean == Fraction(k * (2 * n - k), 2 * n - 1)
+
 
 class TestMaxDistribution:
     def test_small(self):
@@ -258,10 +307,38 @@ class TestMaxDistribution:
         expected = {h: Fraction(c, total) for h, c in max_counts.items()}
         assert max_distribution(n) == expected
 
+    @pytest.mark.parametrize("n", [*range(1, 9), 10])
+    def test_matches_enumeration(self, n):
+        law = max_distribution(n)
+        assert list(law.items()) == list(enumerated_max_law(n).items())
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_full_height_closed_form(self, n):
+        # The maximum is n iff the first n draws are n different pairs.
+        f = math.factorial
+        law = max_distribution(n, cap=n)
+        assert law[n] == Fraction(2**n * f(n) * f(n), f(2 * n))
+        assert sum(law.values(), Fraction(0)) == 1
+
     def test_max_equals_largest_entry(self):
         # the path's running maximum is the largest down-step height
         for t in enumerate_ktuples(5):
             assert path_of_ktuple(t).max_height == max(t)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (full_distribution, (2.5,)),
+        (max_distribution, ("3",)),
+        (enumerate_ktuples, (2.0,)),
+        (marginal_xk, (True, 1)),
+        (dyck_paths, (None,)),
+    ],
+)
+def test_non_integer_n_is_malformed(fn, args):
+    with pytest.raises(MalformedInputError, match="n must be a positive integer"):
+        fn(*args)
 
 
 class TestEntryPermutationInvariance:

@@ -271,6 +271,19 @@ class TestMonteCarlo:
         assert a == b
         assert sum(a.empirical.values()) == 25
 
+    @pytest.mark.parametrize(
+        "fn,args,name",
+        [
+            (random_permutation, (2.0, random.Random(1)), "n"),
+            (brute_force_counts, ("2",), "n"),
+            (monte_carlo, (True, 10, 1), "n"),
+            (monte_carlo, (2, 10.0, 1), "trials"),
+        ],
+    )
+    def test_non_integer_counts_are_malformed(self, fn, args, name):
+        with pytest.raises(MalformedInputError, match=f"{name} must be a positive integer"):
+            fn(*args)
+
     def test_bad_arguments(self):
         with pytest.raises(MalformedInputError):
             monte_carlo(2, 0, seed=1)
