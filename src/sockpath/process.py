@@ -15,10 +15,13 @@ Two verification engines live here:
   fixed chunks, each chunk is unranked and processed as a batch of
   integer arrays, and chunk tallies merge by summation. Chunk boundaries
   do not depend on the worker count, so results never do either.
-* :func:`monte_carlo` samples orderings uniformly. All randomness is a
-  single counter-based (Philox) stream keyed by the seed, materialized
-  as one rank per trial up front; workers only split the precomputed
-  ranks, so reports are bit-identical for any worker count.
+* :func:`monte_carlo` samples orderings uniformly by shuffling tiles of
+  sock ids. Trials are cut into the same fixed chunks, and chunk ``i``
+  draws from its own counter-based stream, ``Philox(key=seed)`` jumped
+  ``i`` times, so reports are bit-identical for any worker count.
+
+Both engines build each chunk inside the worker that tallies it, so no
+more than ``workers`` chunks are held at once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,9 +65,12 @@ DEFAULT_BRUTE_FORCE_CAP = 5
 # tuple enumeration, so the cap matches the enumeration default.
 DEFAULT_SIMULATION_CAP = 14
 
-# Largest n whose (2n)! still fits the 64-bit rank arithmetic used by the
-# vectorized engines: 20! < 2^64 <= 22!.
+# Largest n whose (2n)! still fits the 64-bit rank arithmetic of the
+# brute-force unranker: 20! < 2^64 <= 22!.
 _MAX_RANKABLE_N = 10
+
+# Largest n whose 2n-step path code fits a signed 64-bit integer.
+_MAX_PATH_N = 31
 
 
 class Sock(NamedTuple):
@@ -233,39 +239,36 @@ def _unrank_batch(ranks: np.ndarray, size: int) -> np.ndarray:
     return perm
 
 
-def _ktuple_codes(perm: np.ndarray, n: int) -> np.ndarray:
-    """Run the table process on a batch of id-permutations.
+def _path_codes(perm: np.ndarray) -> np.ndarray:
+    """Run the table process on a batch of sock-id rows.
 
-    Returns one integer per row: the completion-height tuple encoded in
-    base ``n + 1`` (entry ``k_j`` at digit ``j``).
+    Returns one integer per row: bit ``i`` is set when draw ``i`` is an
+    up-step, that is, the first sock of its type. The code has ``2n``
+    bits, so it is valid for ``n <= _MAX_PATH_N``.
     """
     batch, size = perm.shape
-    types = perm >> 1
-    seen = np.zeros(batch, dtype=np.int32)
-    height = np.zeros(batch, dtype=np.int8)
-    kmat = np.zeros((batch, n), dtype=np.int64)
-    completed = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(batch)
-    kflat = kmat.reshape(-1)
+    types = (perm >> 1).T.copy()
+    seen = np.zeros(batch, dtype=np.int64)
+    code = np.zeros(batch, dtype=np.int64)
     for step in range(size):
-        bit = np.left_shift(1, types[:, step], dtype=np.int32)
-        down = (seen & bit) != 0
-        idx = rows[down]
-        kflat[idx * n + completed[idx]] = height[idx]
-        completed[idx] += 1
+        bit = np.left_shift(1, types[step], dtype=np.int64)
+        code |= ((seen & bit) == 0).astype(np.int64) << step
         seen |= bit
-        height += np.where(down, -1, 1).astype(np.int8)
-    powers = (n + 1) ** np.arange(n, dtype=np.int64)
-    return kmat @ powers
+    return code
 
 
-def _decode_code(code: int, n: int) -> KTuple:
-    base = n + 1
-    out = []
-    for _ in range(n):
-        code, digit = divmod(code, base)
-        out.append(int(digit))
-    return KTuple._trusted(tuple(out))
+def _decode_code(code: int) -> KTuple:
+    # After the last up-step (highest set bit) only down-steps remain.
+    ks: list[int] = []
+    height = 0
+    while code or height:
+        if code & 1:
+            height += 1
+        else:
+            ks.append(height)
+            height -= 1
+        code >>= 1
+    return KTuple._trusted(tuple(ks))
 
 
 def _tally_codes(codes: np.ndarray) -> Counter:
@@ -274,19 +277,20 @@ def _tally_codes(codes: np.ndarray) -> Counter:
 
 
 def _run_chunks(
-    chunks: list[np.ndarray], n: int, workers: int
+    make_chunk: Callable[[int], np.ndarray], count: int, workers: int
 ) -> Counter:
-    def process(ranks: np.ndarray) -> Counter:
-        return _tally_codes(_ktuple_codes(_unrank_batch(ranks, 2 * n), n))
+    # Chunk i is built from its index inside the worker that tallies it.
+    def process(index: int) -> Counter:
+        return _tally_codes(_path_codes(make_chunk(index)))
 
     tally: Counter = Counter()
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(process, chunks):
+            for part in pool.map(process, range(count)):
                 tally.update(part)
     else:
-        for ranks in chunks:
-            tally.update(process(ranks))
+        for index in range(count):
+            tally.update(process(index))
     return tally
 
 
@@ -312,6 +316,7 @@ def brute_force_counts(
     """
     limit = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
     _require_positive_int("n", n)
+    _require_positive_int("workers", workers)
     if n > limit:
         raise ResourceLimitError(
             f"brute force over (2*{n})! = {math.factorial(2 * n)} orderings exceeds "
@@ -332,35 +337,28 @@ def brute_force_counts(
         for types in _distinct_type_orders(n):
             tally[_walk_types(types)] += 1
         scale = 1 << n
-        decoded = ((_decode_code(code, n), count * scale) for code, count in tally.items())
     else:
         total = math.factorial(2 * n)
-        chunks = [
-            np.arange(lo, min(lo + _RANK_CHUNK, total), dtype=np.int64)
-            for lo in range(0, total, _RANK_CHUNK)
-        ]
-        tally = _run_chunks(chunks, n, workers)
-        decoded = ((_decode_code(code, n), count) for code, count in tally.items())
-    return dict(sorted(decoded))
+
+        def unranked(index: int) -> np.ndarray:
+            lo = index * _RANK_CHUNK
+            ranks = np.arange(lo, min(lo + _RANK_CHUNK, total), dtype=np.int64)
+            return _unrank_batch(ranks, 2 * n)
+
+        tally = _run_chunks(unranked, -(-total // _RANK_CHUNK), workers)
+        scale = 1
+    return dict(sorted((_decode_code(code), count * scale) for code, count in tally.items()))
 
 
 def _walk_types(types: Sequence[int]) -> int:
-    # Scalar type-sequence walk, returning the base-(n+1) tuple code.
-    n = len(types) // 2
+    # Scalar type-sequence walk, returning the same path code as _path_codes.
     seen = 0
-    height = 0
     code = 0
-    power = 1
-    base = n + 1
-    for t in types:
+    for step, t in enumerate(types):
         bit = 1 << t
-        if seen & bit:
-            code += height * power
-            power *= base
-            height -= 1
-        else:
-            seen |= bit
-            height += 1
+        if not seen & bit:
+            code |= 1 << step
+        seen |= bit
     return code
 
 
@@ -421,15 +419,6 @@ class SimulationReport:
         )
 
 
-def _derive_trial_seed(seed: int, index: int) -> int:
-    # splitmix64 finalizer over (seed, index): a stable 64-bit per-trial
-    # substream key, independent of how trials are batched.
-    z = (seed * 0x9E3779B97F4A7C15 + index) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
 def monte_carlo(
     n: int,
     trials: int,
@@ -440,21 +429,19 @@ def monte_carlo(
 ) -> SimulationReport:
     """Estimate the law empirically and compare with the exact one.
 
-    The report is a deterministic function of ``(n, trials, seed)`` alone:
-
-    * for ``n <= 10``, one Philox stream keyed by ``seed`` yields an
-      unbiased lexicographic rank per trial (all materialized before any
-      splitting), and trials are processed through the batch unranker;
-    * for larger ``n`` (ranks would overflow 64 bits), each trial gets
-      its own generator keyed by a 64-bit mix of ``(seed, trial index)``
-      and is run through the scalar process.
-
-    ``workers`` only bounds how many precomputed batches run at once; it
-    never changes the result.
+    Trials are cut into fixed chunks of at most 500,000 rows. Chunk
+    ``i`` draws from ``Generator(Philox(key=seed).jumped(i))``, which
+    shuffles each row of a ``(rows, 2n)`` tile of sock ids independently,
+    and the shuffled rows run through the vectorized walk. The report is
+    therefore a deterministic function of ``(n, trials, seed)`` alone:
+    ``workers`` only bounds how many chunks run at once, and never
+    changes the result. Whatever the cap, ``n`` above 31 raises
+    :class:`ResourceLimitError`, since a run's path code must fit 64 bits.
     """
     limit = DEFAULT_SIMULATION_CAP if cap is None else cap
     _require_positive_int("trials", trials)
     _require_positive_int("n", n)
+    _require_positive_int("workers", workers)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise MalformedInputError(
             f"seed must be an unsigned 64-bit integer, got {seed!r}"
@@ -465,23 +452,23 @@ def monte_carlo(
             n=n,
             cap=limit,
         )
+    if n > _MAX_PATH_N:
+        raise ResourceLimitError(
+            f"simulation for n = {n} exceeds the {_MAX_PATH_N} pairs a 64-bit "
+            "path code holds",
+            n=n,
+            cap=_MAX_PATH_N,
+        )
 
-    if n <= _MAX_RANKABLE_N:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        ranks = rng.integers(
-            0, math.factorial(2 * n), size=trials, dtype=np.uint64
-        ).astype(np.int64)
-        chunks = [
-            ranks[lo : lo + _RANK_CHUNK] for lo in range(0, trials, _RANK_CHUNK)
-        ]
-        tally = _run_chunks(chunks, n, workers)
-        counts = {_decode_code(code, n): c for code, c in tally.items()}
-    else:
-        counts = Counter()
-        for i in range(trials):
-            rng_i = random.Random(_derive_trial_seed(seed, i))
-            counts[run_process(random_permutation(n, rng_i)).tuple] += 1
+    sock_ids = np.arange(2 * n, dtype=np.int8)
 
+    def shuffled(index: int) -> np.ndarray:
+        rows = min(_RANK_CHUNK, trials - index * _RANK_CHUNK)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        return rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
+
+    tally = _run_chunks(shuffled, -(-trials // _RANK_CHUNK), workers)
+    counts = {_decode_code(code): c for code, c in tally.items()}
     exact = full_distribution(n, cap=limit)
     empirical = {t: counts.get(t, 0) for t in exact.entries}
     comparison = {}

@@ -372,3 +372,34 @@ class TestLazyNumpy:
         assert sockpath.monte_carlo is sockpath.process.monte_carlo
         with pytest.raises(AttributeError):
             sockpath.no_such_name
+
+
+class TestBoundedMemory:
+    # A child's ru_maxrss starts at the peak RSS of the process that
+    # started it, so a small launcher, not this test process, reaps the
+    # CLI with os.wait4 and prints its peak in kilobytes.
+    LAUNCHER = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen([sys.executable, '-c',\n"
+        "    'from sockpath.cli import run; run()', *sys.argv[1:]],\n"
+        "    stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "assert os.waitstatus_to_exitcode(status) == 0\n"
+        "print(usage.ru_maxrss)\n"
+    )
+
+    def _peak_rss_kb(self, trials: int) -> int:
+        src = Path(sockpath.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LAUNCHER, "simulate", "2", "--trials", str(trials)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def test_simulate_memory_does_not_grow_with_trials(self):
+        small = self._peak_rss_kb(500_000)
+        large = self._peak_rss_kb(4_000_000)
+        assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"

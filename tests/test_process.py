@@ -1,5 +1,6 @@
 """Draw simulation, brute-force oracle, Monte Carlo engine."""
 
+import functools
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from sockpath import (
     brute_force_counts,
     enumerate_ktuples,
     ktuple_of_path,
+    max_distribution,
     monte_carlo,
     permutation_count,
     permutation_from_rank,
@@ -27,7 +29,8 @@ from sockpath import (
     sequence_from_rank,
     tuple_probability,
 )
-from sockpath.process import _unrank_batch
+from sockpath import process
+from sockpath.process import _decode_code, _path_codes, _unrank_batch, _walk_types
 
 from conftest import sock_orders
 
@@ -81,6 +84,14 @@ class TestRunProcess:
             assert run_process(modified).path == base
         all_flipped = [Sock(s.sock_type, 1 - s.side) for s in draws]
         assert run_process(all_flipped).path == base
+
+    @given(sock_orders(max_n=6))
+    def test_path_codes_match_scalar_process(self, draws):
+        # both fast walks, decoded, against the reference process
+        expected = run_process(draws).tuple
+        ids = np.array([[2 * (s.sock_type - 1) + s.side for s in draws]], dtype=np.int8)
+        assert _decode_code(int(_path_codes(ids)[0])) == expected
+        assert _decode_code(_walk_types([s.sock_type - 1 for s in draws])) == expected
 
     @given(sock_orders(max_n=4))
     def test_first_appearance_relabeling(self, draws):
@@ -265,11 +276,33 @@ class TestMonteCarlo:
         )
         assert dev < Fraction(5, 1000)
 
-    def test_large_n_fallback_is_deterministic(self):
-        a = monte_carlo(11, 25, seed=9)
-        b = monte_carlo(11, 25, seed=9)
-        assert a == b
-        assert sum(a.empirical.values()) == 25
+    def test_chunked_n11_is_worker_independent(self, monkeypatch):
+        # 5000 trials in chunks of 997: five full chunks and one of 15 rows
+        monkeypatch.setattr(process, "_RANK_CHUNK", 997)
+        base = monte_carlo(11, 5_000, seed=9, workers=1)
+        assert sum(base.empirical.values()) == 5_000
+        assert monte_carlo(11, 5_000, seed=9, workers=2) == base
+        assert monte_carlo(11, 5_000, seed=9, workers=4) == base
+
+    def test_chunks_draw_independent_streams(self, monkeypatch):
+        # one trial per chunk: chunks sharing a stream would all repeat
+        # the same tuple instead of concentrating near P((2, 1)) = 2/3
+        monkeypatch.setattr(process, "_RANK_CHUNK", 1)
+        report = monte_carlo(2, 3_000, seed=11)
+        freq = report.comparison[KTuple((2, 1))].frequency
+        assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
+
+    def test_max_law_n11(self):
+        # the law of max(k) shares no code with the sampler; 5 standard
+        # errors per height
+        trials = 200_000
+        report = monte_carlo(11, trials, seed=2024)
+        heights = {}
+        for t, c in report.empirical.items():
+            heights[max(t)] = heights.get(max(t), 0) + c
+        for h, p in max_distribution(11).items():
+            se = math.sqrt(float(p * (1 - p)) / trials)
+            assert abs(heights.get(h, 0) / trials - float(p)) <= 5 * se, h
 
     @pytest.mark.parametrize(
         "fn,args,name",
@@ -278,6 +311,10 @@ class TestMonteCarlo:
             (brute_force_counts, ("2",), "n"),
             (monte_carlo, (True, 10, 1), "n"),
             (monte_carlo, (2, 10.0, 1), "trials"),
+            (functools.partial(brute_force_counts, workers="2"), (2,), "workers"),
+            (functools.partial(brute_force_counts, workers=-3), (2,), "workers"),
+            (functools.partial(monte_carlo, workers="2"), (2, 10, 1), "workers"),
+            (functools.partial(monte_carlo, workers=-3), (2, 10, 1), "workers"),
         ],
     )
     def test_non_integer_counts_are_malformed(self, fn, args, name):
@@ -293,3 +330,9 @@ class TestMonteCarlo:
             monte_carlo(2, 10, seed=2**64)
         with pytest.raises(ResourceLimitError):
             monte_carlo(15, 10, seed=1)
+
+    def test_path_width_limit(self):
+        # raised before sampling or enumerating Catalan(32) tuples
+        with pytest.raises(ResourceLimitError) as exc:
+            monte_carlo(32, 10, seed=1, cap=40)
+        assert exc.value.cap == 31
