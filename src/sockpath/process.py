@@ -10,26 +10,32 @@ flags never affect the path.
 Two verification engines live here:
 
 * :func:`brute_force_counts` walks *every* one of the ``(2n)!`` orderings
-  and tallies the resulting tuples. Orderings are identified with their
-  lexicographic rank in ``0 .. (2n)!-1``; the rank space is cut into
-  fixed chunks, each chunk is unranked and processed as a batch of
-  integer arrays, and chunk tallies merge by summation. Chunk boundaries
-  do not depend on the worker count, so results never do either.
+  and tallies the resulting tuples. In lexicographic order the orderings
+  come as prefixes of length ``2n - m`` (``m = min(7, 2n)``), each
+  followed by its ``m`` remaining sock ids in all ``m!`` arrangements. A
+  chunk is a fixed block of consecutive prefixes: only those prefixes
+  are unranked, and one table of the ``m!`` suffix permutations spreads
+  each prefix's remaining ids into its rows. Chunk tallies merge by
+  summation. Chunk boundaries do not depend on the worker count, so
+  results never do either.
 * :func:`monte_carlo` samples orderings uniformly by shuffling tiles of
-  sock ids. Trials are cut into the same fixed chunks, and chunk ``i``
-  draws from its own counter-based stream, ``Philox(key=seed)`` jumped
-  ``i`` times, so reports are bit-identical for any worker count.
+  sock ids. Trials are cut into fixed chunks of at most 500,000 rows,
+  and chunk ``i`` draws from its own counter-based stream,
+  ``Philox(key=seed)`` jumped ``i`` times, so reports are bit-identical
+  for any worker count.
 
-Both engines build each chunk inside the worker that tallies it, so no
-more than ``workers`` chunks are held at once.
+Both engines build each chunk inside the worker that tallies it, and a
+chunk is handed to a worker only when one is free, so no more than
+``workers`` chunks are held at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -65,9 +71,10 @@ DEFAULT_BRUTE_FORCE_CAP = 5
 # tuple enumeration, so the cap matches the enumeration default.
 DEFAULT_SIMULATION_CAP = 14
 
-# Largest n whose (2n)! still fits the 64-bit rank arithmetic of the
-# brute-force unranker: 20! < 2^64 <= 22!.
-_MAX_RANKABLE_N = 10
+# Largest n brute force accepts whatever the cap. Already (2*10)! is
+# about 2.4e18 orderings, millennia at ten million a second; 22! is a
+# thousand times more. Nothing past it can be walked.
+_MAX_WALKABLE_N = 10
 
 # Largest n whose 2n-step path code fits a signed 64-bit integer.
 _MAX_PATH_N = 31
@@ -217,28 +224,6 @@ def sequence_from_rank(rank: int, n: int) -> SockSequence:
 # Vectorized batch engine (shared by brute force and Monte Carlo)
 # ----------------------------------------------------------------------
 
-def _unrank_batch(ranks: np.ndarray, size: int) -> np.ndarray:
-    """Unrank a batch: (B,) ranks -> (B, size) permutations of 0..size-1."""
-    batch = ranks.shape[0]
-    rem = ranks.astype(np.int64, copy=True)
-    # factorial-base digits: digit j counts remaining items skipped at slot j
-    digits = np.empty((batch, size), dtype=np.int8)
-    for j in range(size):
-        f = math.factorial(size - 1 - j)
-        np.floor_divide(rem, f, out=digits[:, j], casting="unsafe")
-        rem %= f
-    perm = np.empty((batch, size), dtype=np.int8)
-    alive = np.ones((batch, size), dtype=np.int8)
-    rows = np.arange(batch)
-    cum = np.empty((batch, size), dtype=np.int8)
-    for j in range(size):
-        np.cumsum(alive, axis=1, dtype=np.int8, out=cum)
-        pos = np.argmax(cum == (digits[:, j] + 1)[:, None], axis=1)
-        perm[:, j] = pos
-        alive[rows, pos] = 0
-    return perm
-
-
 def _path_codes(perm: np.ndarray) -> np.ndarray:
     """Run the table process on a batch of sock-id rows.
 
@@ -285,16 +270,65 @@ def _run_chunks(
 
     tally: Counter = Counter()
     if workers > 1 and count > 1:
+        # Submit a chunk only when one finishes: a future per chunk held
+        # up front would grow with the chunk count, not the worker count.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(process, range(count)):
-                tally.update(part)
+            running: set = set()
+            for index in range(count):
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        tally.update(future.result())
+                running.add(pool.submit(process, index))
+            for future in running:
+                tally.update(future.result())
     else:
         for index in range(count):
             tally.update(process(index))
     return tally
 
 
-_RANK_CHUNK = 500_000
+# Most rows a chunk holds, in both engines.
+_CHUNK_ROWS = 500_000
+
+# Brute force permutes the last _SUFFIX_LEN sock ids through one table of
+# all their arrangements (7! = 5,040 rows), _PREFIX_BLOCK prefixes a chunk.
+_SUFFIX_LEN = 7
+_PREFIX_BLOCK = _CHUNK_ROWS // math.factorial(_SUFFIX_LEN)
+
+
+def _lexicographic_chunks(size: int) -> tuple[Callable[[int], np.ndarray], int]:
+    """All permutations of ``range(size)`` in lexicographic order, chunked.
+
+    Returns ``(make_chunk, count)``: the tiles ``make_chunk(0)``, ...,
+    ``make_chunk(count - 1)``, stacked, are the ``size!`` permutations in
+    rank order, one per row. Tile ``i`` covers prefixes
+    ``i * _PREFIX_BLOCK`` onward and is built from ``i`` alone.
+    """
+    m = min(_SUFFIX_LEN, size)
+    head = size - m
+    arrangements = math.factorial(m)
+    prefixes = math.factorial(size) // arrangements
+    suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+
+    def make_chunk(index: int) -> np.ndarray:
+        # Rank j * m! is prefix j followed by its remaining ids in
+        # ascending order; the next m! ranks arrange those ids in the
+        # order of the suffix table.
+        lo = index * _PREFIX_BLOCK
+        firsts = np.array(
+            [
+                permutation_from_rank(j * arrangements, size)
+                for j in range(lo, min(lo + _PREFIX_BLOCK, prefixes))
+            ],
+            dtype=np.int8,
+        )
+        tile = np.empty((len(firsts), arrangements, size), dtype=np.int8)
+        tile[:, :, :head] = firsts[:, None, :head]
+        tile[:, :, head:] = firsts[:, head:][:, suffixes]
+        return tile.reshape(-1, size)
+
+    return make_chunk, -(-prefixes // _PREFIX_BLOCK)
 
 
 def brute_force_counts(
@@ -308,7 +342,16 @@ def brute_force_counts(
 
     This is the ground-truth oracle: the tally of a valid tuple must
     equal ``permutation_count`` and the tallies must sum to ``(2n)!``.
-    Runtime is O((2n)!), so the default cap is 5.
+    Runtime is O((2n)!), so the default cap is 5; ``n`` above 10 is
+    refused whatever the cap.
+
+    Orderings are walked in lexicographic order of their sock ids, in
+    chunks of 99 consecutive prefixes of length ``2n - 7`` (one prefix
+    of length 0 when ``n <= 3``). Each prefix's remaining ids are
+    arranged through one table of all ``7!`` suffix permutations, built
+    once per call, so a chunk holds at most 498,960 orderings and
+    ``workers`` chunks run at once. The tally does not depend on
+    ``workers``.
 
     With ``collapse_sides=True`` only the ``(2n)!/2^n`` distinct type
     sequences are walked and each tally is scaled by ``2^n`` (side flags
@@ -324,12 +367,13 @@ def brute_force_counts(
             n=n,
             cap=limit,
         )
-    if n > _MAX_RANKABLE_N:
+    if n > _MAX_WALKABLE_N:
         raise ResourceLimitError(
-            f"(2*{n})! exceeds the 64-bit rank space; brute force supports "
-            f"n <= {_MAX_RANKABLE_N}; use monte_carlo instead",
+            f"(2*{n})! = {math.factorial(2 * n)} orderings cannot be walked; "
+            f"brute force refuses n > {_MAX_WALKABLE_N} whatever the cap; "
+            "use monte_carlo instead",
             n=n,
-            cap=_MAX_RANKABLE_N,
+            cap=_MAX_WALKABLE_N,
         )
 
     if collapse_sides:
@@ -338,14 +382,7 @@ def brute_force_counts(
             tally[_walk_types(types)] += 1
         scale = 1 << n
     else:
-        total = math.factorial(2 * n)
-
-        def unranked(index: int) -> np.ndarray:
-            lo = index * _RANK_CHUNK
-            ranks = np.arange(lo, min(lo + _RANK_CHUNK, total), dtype=np.int64)
-            return _unrank_batch(ranks, 2 * n)
-
-        tally = _run_chunks(unranked, -(-total // _RANK_CHUNK), workers)
+        tally = _run_chunks(*_lexicographic_chunks(2 * n), workers)
         scale = 1
     return dict(sorted((_decode_code(code), count * scale) for code, count in tally.items()))
 
@@ -463,11 +500,11 @@ def monte_carlo(
     sock_ids = np.arange(2 * n, dtype=np.int8)
 
     def shuffled(index: int) -> np.ndarray:
-        rows = min(_RANK_CHUNK, trials - index * _RANK_CHUNK)
+        rows = min(_CHUNK_ROWS, trials - index * _CHUNK_ROWS)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
         return rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
 
-    tally = _run_chunks(shuffled, -(-trials // _RANK_CHUNK), workers)
+    tally = _run_chunks(shuffled, -(-trials // _CHUNK_ROWS), workers)
     counts = {_decode_code(code): c for code, c in tally.items()}
     exact = full_distribution(n, cap=limit)
     empirical = {t: counts.get(t, 0) for t in exact.entries}

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,13 @@ from sockpath import (
     tuple_probability,
 )
 from sockpath import process
-from sockpath.process import _decode_code, _path_codes, _unrank_batch, _walk_types
+from sockpath.process import (
+    _decode_code,
+    _lexicographic_chunks,
+    _path_codes,
+    _run_chunks,
+    _walk_types,
+)
 
 from conftest import sock_orders
 
@@ -173,13 +180,6 @@ class TestRankUnrank:
             [(1, 0), (1, 1), (2, 0), (2, 1)]
         )
 
-    def test_batch_unranker_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        ranks = rng.integers(0, math.factorial(10), size=200, dtype=np.int64)
-        batch = _unrank_batch(ranks, 10)
-        for rank, row in zip(ranks.tolist(), batch.tolist()):
-            assert tuple(row) == permutation_from_rank(rank, 10)
-
 
 class TestBruteForce:
     def test_n1(self):
@@ -191,9 +191,9 @@ class TestBruteForce:
             KTuple((2, 1)): 16,
         }
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_independent_oracle(self, n):
-        # plain itertools walk, written independently of the rank engine
+        # plain itertools walk, written independently of the chunked engine
         socks = [(t, s) for t in range(1, n + 1) for s in (0, 1)]
         expected = {}
         for order in itertools.permutations(socks):
@@ -222,8 +222,26 @@ class TestBruteForce:
     def test_collapsed_mode_agrees(self, n):
         assert brute_force_counts(n, collapse_sides=True) == brute_force_counts(n)
 
-    def test_worker_count_does_not_matter(self):
-        assert brute_force_counts(4, workers=1) == brute_force_counts(4, workers=2)
+    # (suffix length, prefixes per chunk): the default, and two small
+    # blocks that cut n = 3 and n = 4 into many chunks
+    @pytest.mark.parametrize("suffix,block", [(7, 99), (3, 7), (2, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunks_are_every_ordering_in_rank_order(self, monkeypatch, n, suffix, block):
+        monkeypatch.setattr(process, "_SUFFIX_LEN", suffix)
+        monkeypatch.setattr(process, "_PREFIX_BLOCK", block)
+        make_chunk, count = _lexicographic_chunks(2 * n)
+        rows = np.concatenate([make_chunk(i) for i in range(count)])
+        assert rows.tolist() == [list(p) for p in itertools.permutations(range(2 * n))]
+
+    def test_worker_count_does_not_matter(self, monkeypatch):
+        # n = 4 is one chunk by default; small blocks cut it into 960
+        whole = brute_force_counts(4)
+        monkeypatch.setattr(process, "_SUFFIX_LEN", 3)
+        monkeypatch.setattr(process, "_PREFIX_BLOCK", 7)
+        assert _lexicographic_chunks(8)[1] == 960
+        for workers in (1, 2, 4):
+            counts = brute_force_counts(4, workers=workers)
+            assert list(counts.items()) == list(whole.items())
 
     def test_cap_suggests_monte_carlo(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -239,6 +257,20 @@ class TestBruteForce:
     def test_rank_space_hard_limit(self):
         with pytest.raises(ResourceLimitError):
             brute_force_counts(11, cap=11)
+
+
+class TestRunChunks:
+    def test_chunks_in_flight_stay_bounded(self):
+        # a future held per chunk from the start costs about 1.9 KB each,
+        # some 9 MB for these 5,000; two workers need only two at a time
+        tracemalloc.start()
+        try:
+            tally = _run_chunks(lambda i: np.zeros((1, 2), np.int8), 5_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tally == {0b01: 5_000}
+        assert peak < 1_000_000
 
 
 class TestMonteCarlo:
@@ -278,7 +310,7 @@ class TestMonteCarlo:
 
     def test_chunked_n11_is_worker_independent(self, monkeypatch):
         # 5000 trials in chunks of 997: five full chunks and one of 15 rows
-        monkeypatch.setattr(process, "_RANK_CHUNK", 997)
+        monkeypatch.setattr(process, "_CHUNK_ROWS", 997)
         base = monte_carlo(11, 5_000, seed=9, workers=1)
         assert sum(base.empirical.values()) == 5_000
         assert monte_carlo(11, 5_000, seed=9, workers=2) == base
@@ -287,7 +319,7 @@ class TestMonteCarlo:
     def test_chunks_draw_independent_streams(self, monkeypatch):
         # one trial per chunk: chunks sharing a stream would all repeat
         # the same tuple instead of concentrating near P((2, 1)) = 2/3
-        monkeypatch.setattr(process, "_RANK_CHUNK", 1)
+        monkeypatch.setattr(process, "_CHUNK_ROWS", 1)
         report = monte_carlo(2, 3_000, seed=11)
         freq = report.comparison[KTuple((2, 1))].frequency
         assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
