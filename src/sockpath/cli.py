@@ -6,9 +6,12 @@ a configurable precision. CSV uses a fixed header order and LF line
 endings; the JSON schema is documented in docs/output-schema.md with a
 golden example.
 
+``table`` and ``simulate`` write each row as soon as it is produced, so
+a consumer that closes the pipe early stops the command.
+
 Exit codes are stable across subcommands: 0 success, 1 failed
 verification, 2 usage or parse error, 3 resource cap exceeded, 4 domain
-validity error.
+validity error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DyckPath, KTuple, ktuple_of_path, path_of_ktuple
+from .core import DyckPath, KTuple, _check_cap, _climb, ktuple_of_path, path_of_ktuple
 from .errors import (
     MalformedInputError,
     ResourceLimitError,
@@ -31,7 +33,7 @@ from .errors import (
     ValidityError,
 )
 from .probability import (
-    full_distribution,
+    _count_rows,
     marginal_xk,
     max_distribution,
     permutation_count,
@@ -45,6 +47,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVALID = 4
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_PRECISION = 6
 
@@ -55,11 +58,15 @@ DEFAULT_PRECISION = 6
 
 def format_decimal(value: Fraction, precision: int) -> str:
     """Correctly rounded (half-even) fixed-point rendering of a rational."""
+    return _decimal(value.numerator, value.denominator, precision)
+
+
+def _decimal(num: int, den: int, precision: int) -> str:
+    # The digits of num/den do not depend on whether it is reduced: the
+    # quotient and the remainder's ratio to den are the same either way.
     scale = 10 ** precision
-    quotient, remainder = divmod(value.numerator * scale, value.denominator)
-    if 2 * remainder > value.denominator or (
-        2 * remainder == value.denominator and quotient % 2
-    ):
+    quotient, remainder = divmod(num * scale, den)
+    if 2 * remainder > den or (2 * remainder == den and quotient % 2):
         quotient += 1
     whole, frac = divmod(quotient, scale)
     return f"{whole}.{frac:0{precision}d}"
@@ -68,6 +75,12 @@ def format_decimal(value: Fraction, precision: int) -> str:
 def format_fraction(value: Fraction) -> str:
     """Lossless ``p/q`` string (plain integer when q = 1)."""
     return str(value)
+
+
+def _ratio(num: int, den: int) -> str:
+    # format_fraction(Fraction(num, den)) without building the Fraction.
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def parse_tuple_literal(text: str) -> KTuple:
@@ -111,60 +124,95 @@ def render_ascii(path: DyckPath) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One table row in its serialized form.
-
-    ``path`` is populated only for formats that carry it (JSON); the CSV
-    column set is fixed and path-free.
-    """
-
-    tuple: KTuple
-    probability_exact: str
-    probability_decimal: str
-    permutation_count: str
-    path: DyckPath | None
-
-    def json_object(self) -> dict:
-        assert self.path is not None
-        return {
-            "tuple": list(self.tuple),
-            "probability": self.probability_exact,
-            "probability_decimal": self.probability_decimal,
-            "count": self.permutation_count,
-            "path": list(self.path),
-        }
-
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.tuple),
-            self.probability_exact,
-            self.probability_decimal,
-            self.permutation_count,
-        ]
-
-
-def _record(
-    t: KTuple, probability: Fraction, precision: int, with_path: bool
-) -> OutputRecord:
-    return OutputRecord(
-        tuple=t,
-        probability_exact=format_fraction(probability),
-        probability_decimal=format_decimal(probability, precision),
-        permutation_count=str(permutation_count(t)),
-        path=path_of_ktuple(t) if with_path else None,
-    )
-
-
-def _emit_csv(header: list[str], rows: Iterable[Sequence[str]]) -> None:
+def _csv_writer(header: list[str]):
+    """A CSV writer on the current stdout, with ``header`` already written."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    return writer
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+# Streamed JSON reproduces json.dumps(indent=2) byte for byte: each row
+# object sits at depth 2 and each list in it puts one element per line
+# at depth 4. The strings filled in are digits, "/" and "." only, which
+# JSON never escapes.
+_TABLE_ROW_JSON = (
+    '    {\n'
+    '      "tuple": [\n        %s\n      ],\n'
+    '      "probability": "%s",\n'
+    '      "probability_decimal": "%s",\n'
+    '      "count": "%s",\n'
+    '      "path": [\n        %s\n      ]\n'
+    '    }'
+)
+
+_SIMULATE_ROW_JSON = (
+    '    {\n'
+    '      "tuple": [\n        %s\n      ],\n'
+    '      "count": %d,\n'
+    '      "frequency": "%s",\n'
+    '      "frequency_decimal": "%s",\n'
+    '      "probability": "%s",\n'
+    '      "probability_decimal": "%s",\n'
+    '      "abs_deviation": "%s",\n'
+    '      "abs_deviation_decimal": "%s"\n'
+    '    }'
+)
+
+
+def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str, str]]:
+    """``(p/q, decimal, count)`` strings of an ordering count over ``(2n)!``.
+
+    Memoized per call: rows share few distinct products (808 among the
+    208,012 rows of order 12), so each is rendered once.
+    """
+    denominator = math.factorial(2 * n)
+    memo: dict[int, tuple[str, str, str]] = {}
+
+    def texts(count: int) -> tuple[str, str, str]:
+        found = memo.get(count)
+        if found is None:
+            found = memo[count] = (
+                _ratio(count, denominator),
+                _decimal(count, denominator, precision),
+                str(count),
+            )
+        return found
+
+    return texts
+
+
+def _json_items(n: int) -> Callable[[Iterable[int]], str]:
+    """Renderer of the elements of a row's list whose entries lie in ``0..n``."""
+    digits = [str(v) for v in range(n + 1)]
+    separator = ",\n        "
+
+    def render(values: Iterable[int]) -> str:
+        return separator.join([digits[v] for v in values])
+
+    return render
+
+
+def _stream_json(
+    head: dict, rows: Iterable[str], metadata: Callable[[], dict]
+) -> None:
+    """Write ``head`` plus ``rows`` and ``metadata()`` as json.dumps(indent=2) would.
+
+    Each row is written as soon as it is produced; ``metadata`` is called
+    after the last one, so it may report on them. ``rows`` must not be
+    empty.
+    """
+    out = sys.stdout  # looked up per call: callers may redirect stdout
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [\n')
+    rows = iter(rows)
+    out.write(next(rows))
+    for row in rows:
+        out.write(",\n" + row)
+    tail = json.dumps(metadata(), indent=2).replace("\n", "\n  ")
+    out.write('\n  ],\n  "metadata": ' + tail + "\n}\n")
 
 
 def _resolve_workers() -> int:
@@ -190,8 +238,9 @@ def _cap_override(args: argparse.Namespace) -> int | None:
     if args.max_n is None:
         return None
     print(
-        f"warning: enumeration caps overridden to n <= {args.max_n}; "
-        "costs grow like Catalan(n) or (2n)!",
+        f"warning: caps overridden to n <= {args.max_n}; costs grow like "
+        "Catalan(n) for table and simulate, (2n)! for verify, and n^2 or n^3 "
+        "for stats",
         file=sys.stderr,
     )
     return args.max_n
@@ -209,27 +258,37 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cap = _cap_override(args)
-    table = full_distribution(args.n, cap=cap)
-    pairs = list(table.entries.items())
+    """Write the table row by row from the lexicographic row generator.
+
+    Each valid tuple comes with its integer ordering count, and with its
+    path for JSON, so a row is rendered from integers over the shared
+    denominator ``(2n)!`` and written at once. ``--sort prob`` holds only
+    ``(-count, tuple)`` pairs, sorts them, then renders.
+    """
+    n = args.n
+    _check_cap(n, _cap_override(args), "distribution table")
+    texts = _probability_texts(n, args.precision)
+    with_path = args.format == "json"
+    rows: Iterable[tuple[KTuple, int, DyckPath | None]] = _count_rows(n, with_path)
     if args.sort == "prob":
         # highest probability first; ties broken lexicographically
-        pairs.sort(key=lambda item: (-item[1], item[0]))
-    with_path = args.format == "json"
-    records = [_record(t, p, args.precision, with_path) for t, p in pairs]
+        order = sorted((-count, t) for t, count, _ in rows)
+        rows = (
+            (t, -neg, _climb(t) if with_path else None) for neg, t in order
+        )
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "generator": "exact",
-                "rows": [r.json_object() for r in records],
-                "metadata": {"precision": args.precision},
-            }
+        json_items = _json_items(n)
+        _stream_json(
+            {"n": n, "generator": "exact"},
+            (
+                _TABLE_ROW_JSON % (json_items(t), *texts(count), json_items(path))
+                for t, count, path in rows
+            ),
+            lambda: {"precision": args.precision},
         )
     else:
-        _emit_csv(
-            ["tuple", "probability", "probability_decimal", "count"],
-            (r.csv_row() for r in records),
+        _csv_writer(["tuple", "probability", "probability_decimal", "count"]).writerows(
+            (str(t), *texts(count)) for t, count, _ in rows
         )
     return EXIT_OK
 
@@ -274,58 +333,76 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .process import monte_carlo  # numpy loads only for sampling commands
+    """Write each tuple's sampled count beside its exact law, row by row.
 
-    cap = _cap_override(args)
-    report = monte_carlo(
-        args.n, args.trials, args.seed, workers=_resolve_workers(), cap=cap
+    The sampled tally holds only the tuples hit; the lexicographic row
+    generator supplies the rest with a count of zero. Every deviation
+    ``|hits/trials - count/(2n)!|`` is one integer numerator over
+    ``trials * (2n)!``, so the running maximum is exact and is written
+    after the rows.
+    """
+    from .process import _sampled_counts  # numpy loads only for sampling commands
+
+    n, trials, seed, precision = args.n, args.trials, args.seed, args.precision
+    hits = _sampled_counts(
+        n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args)
     )
-    precision = args.precision
-    max_dev = report.max_abs_deviation
+    texts = _probability_texts(n, precision)
+    denominator = math.factorial(2 * n)
+    scale = trials * denominator
+    worst = 0
+
+    def compared() -> Iterator[tuple[KTuple, int, str, str, int]]:
+        nonlocal worst
+        for t, count, _ in _count_rows(n):
+            hit = hits.get(t, 0)
+            exact, decimal, _ = texts(count)
+            deviation = abs(hit * denominator - count * trials)
+            worst = max(worst, deviation)
+            yield t, hit, exact, decimal, deviation
+
     if args.format == "json":
-        rows = [
-            {
-                "tuple": list(t),
-                "count": report.empirical[t],
-                "frequency": format_fraction(row.frequency),
-                "frequency_decimal": format_decimal(row.frequency, precision),
-                "probability": format_fraction(row.probability),
-                "probability_decimal": format_decimal(row.probability, precision),
-                "abs_deviation": format_fraction(row.deviation),
-                "abs_deviation_decimal": format_decimal(row.deviation, precision),
-            }
-            for t, row in report.comparison.items()
-        ]
-        _emit_json(
-            {
-                "n": report.n,
-                "generator": "simulation",
-                "rows": rows,
-                "metadata": {
-                    "seed": report.seed,
-                    "trials": report.trials,
-                    "precision": precision,
-                    "max_abs_deviation": format_fraction(max_dev),
-                    "max_abs_deviation_decimal": format_decimal(max_dev, precision),
-                },
-            }
+        json_items = _json_items(n)
+        _stream_json(
+            {"n": n, "generator": "simulation"},
+            (
+                _SIMULATE_ROW_JSON
+                % (
+                    json_items(t),
+                    hit,
+                    _ratio(hit, trials),
+                    _decimal(hit, trials, precision),
+                    exact,
+                    decimal,
+                    _ratio(deviation, scale),
+                    _decimal(deviation, scale, precision),
+                )
+                for t, hit, exact, decimal, deviation in compared()
+            ),
+            lambda: {
+                "seed": seed,
+                "trials": trials,
+                "precision": precision,
+                "max_abs_deviation": _ratio(worst, scale),
+                "max_abs_deviation_decimal": _decimal(worst, scale, precision),
+            },
         )
     else:
-        body = [
-            [
-                str(t),
-                str(report.empirical[t]),
-                format_fraction(row.frequency),
-                format_fraction(row.probability),
-                format_decimal(row.deviation, precision),
-            ]
-            for t, row in report.comparison.items()
-        ]
-        body.append(
-            ["max_abs_deviation", "", "", "", format_decimal(max_dev, precision)]
+        writer = _csv_writer(
+            ["tuple", "count", "frequency", "probability", "abs_deviation"]
         )
-        _emit_csv(
-            ["tuple", "count", "frequency", "probability", "abs_deviation"], body
+        writer.writerows(
+            (
+                str(t),
+                hit,
+                _ratio(hit, trials),
+                exact,
+                _decimal(deviation, scale, precision),
+            )
+            for t, hit, exact, _, deviation in compared()
+        )
+        writer.writerow(
+            ["max_abs_deviation", "", "", "", _decimal(worst, scale, precision)]
         )
     return EXIT_OK
 
@@ -371,7 +448,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             [name, format_fraction(value), format_decimal(value, precision)]
             for name, value in moments
         )
-        _emit_csv(["height", "probability", "probability_decimal"], rows)
+        _csv_writer(["height", "probability", "probability_decimal"]).writerows(rows)
     return EXIT_OK
 
 
@@ -481,6 +558,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.precision < 1:
         print(f"sockpath: precision must be >= 1, got {args.precision}", file=sys.stderr)
         return EXIT_USAGE
+    if args.max_n is not None and args.max_n < 1:
+        print(f"sockpath: --max-n must be >= 1, got {args.max_n}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -502,7 +582,16 @@ def run() -> None:
     # machine outputs are UTF-8 regardless of locale
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so the interpreter's
+        # final flush of what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

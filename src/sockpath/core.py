@@ -79,7 +79,7 @@ class KTuple(tuple):
         return super().__new__(cls, vals)
 
     @classmethod
-    def _trusted(cls, entries: tuple) -> "KTuple":
+    def _trusted(cls, entries: Iterable[int]) -> "KTuple":
         # Hot-path constructor for callers that guarantee well-formedness
         # (enumeration, extraction); skips per-entry validation.
         return tuple.__new__(cls, entries)
@@ -139,7 +139,7 @@ class DyckPath(tuple):
         return super().__new__(cls, x)
 
     @classmethod
-    def _trusted(cls, heights: tuple) -> "DyckPath":
+    def _trusted(cls, heights: Iterable[int]) -> "DyckPath":
         # For internal construction sites that guarantee the invariants.
         return tuple.__new__(cls, heights)
 
@@ -220,6 +220,12 @@ def path_of_ktuple(t: KTuple | Iterable[int]) -> DyckPath:
     if violation is not None:
         index, reason = violation
         raise TupleValidityError(f"no Dyck path realizes {k}: {reason}", index=index)
+    return _climb(k)
+
+
+def _climb(k: tuple) -> DyckPath:
+    # Path of a tuple the caller knows is valid: rise to k_1, then after
+    # each completion step down once and rise to the next height.
     n = len(k)
     x = list(range(1, k[0] + 1))
     for j in range(n):
@@ -236,13 +242,25 @@ def _require_positive_int(name: str, value: object) -> None:
         raise MalformedInputError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_cap(n: int, cap: int | None, what: str) -> None:
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+def _check_cap(
+    n: int,
+    cap: int | None,
+    what: str,
+    *,
+    default: int = DEFAULT_ENUMERATION_CAP,
+    cost: str | None = None,
+) -> None:
+    # ``cost`` names the work the cap bounds; by default the Catalan(n)
+    # objects an enumeration visits.
+    limit = default if cap is None else cap
     _require_positive_int("n", n)
     if n > limit:
+        if cost is None:
+            cost = f"enumeration cap {limit} (Catalan({n}) = {catalan(n)} objects)"
+        else:
+            cost = f"cap {limit} of its {cost}"
         raise ResourceLimitError(
-            f"{what} for n = {n} exceeds the enumeration cap {limit} "
-            f"(Catalan({n}) = {catalan(n)} objects); pass a higher cap to override",
+            f"{what} for n = {n} exceeds the {cost}; pass a higher cap to override",
             n=n,
             cap=limit,
         )

@@ -10,6 +10,14 @@ orderings of the ``2n`` distinguishable socks, so its probability is
 ``2^n * n! * prod(k_i) / (2n)!``. Tuples no Dyck path realizes have
 probability zero.
 
+Whole tables come from one row generator: an odometer steps through the
+valid tuples in lexicographic order, and each row carries the tuple's
+integer ordering count (and, on request, its Dyck path) built from the
+odometer's state, with no row validated again. Every row shares the
+denominator ``(2n)!``, so nothing needs a Fraction until the API
+boundary: :func:`full_distribution` and the Monte Carlo report build
+them there, while the CLI streams rows straight from the integers.
+
 Marginal statistics (the table count after draw ``k``, the running
 maximum) come from the Markov chain on the table count instead of an
 enumeration of tuples: with ``h`` socks on the table after ``i`` draws,
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import KTuple, _check_cap, validate_ktuple
+from .core import DyckPath, KTuple, _check_cap, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -43,6 +51,12 @@ __all__ = [
 
 # Probabilities are plain Fractions; the alias documents intent in signatures.
 ExactProb = Fraction
+
+# Default caps of the height-count DP, each near a second on one core:
+# marginal_xk is O(n^2) big-integer steps (0.6 s at n = 1000) and
+# max_distribution O(n^3) (1.5 s at n = 200, 8 s at 300).
+_MARGINAL_CAP = 1000
+_MAX_LAW_CAP = 200
 
 
 def permutation_count(t: KTuple | Iterable[int]) -> int:
@@ -95,20 +109,71 @@ def enumerate_ktuples(n: int, *, cap: int | None = None) -> Iterator[KTuple]:
 def _ktuples_iter(n: int) -> Iterator[KTuple]:
     k = [1] * n
     trusted = KTuple._trusted
-    yield trusted(tuple(k))
+    for _ in _odometer(k):
+        yield trusted(tuple(k))
+
+
+def _odometer(k: list[int]) -> Iterator[int]:
+    """Step ``k`` in place through every valid tuple of its order, lexicographically.
+
+    ``k`` must start as all ones. Before each step the generator yields
+    the index of the first entry changed since the previous tuple (0 for
+    the first), so callers can update state kept per prefix.
+    """
+    n = len(k)
+    i = 0
     while True:
+        yield i
         i = n - 2
-        while i >= 0:
-            if k[i] < n - i:
-                k[i] += 1
-                for j in range(i + 1, n):
-                    prev = k[j - 1]
-                    k[j] = prev - 1 if prev > 2 else 1
-                yield trusted(tuple(k))
-                break
+        while i >= 0 and k[i] >= n - i:
             i -= 1
-        else:
+        if i < 0:
             return
+        k[i] += 1
+        for j in range(i + 1, n):
+            prev = k[j - 1]
+            k[j] = prev - 1 if prev > 2 else 1
+
+
+def _count_rows(
+    n: int, with_path: bool = False
+) -> Iterator[tuple[KTuple, int, DyckPath | None]]:
+    """Every valid tuple of order ``n`` with its ordering count, lexicographically.
+
+    Yields ``(t, 2^n * n! * prod(t), path)``, where ``path`` is the Dyck
+    path realizing ``t`` when ``with_path`` is set and None otherwise.
+    Products and path segments are kept per prefix, so a step recomputes
+    only what follows the first entry the odometer changed; no row is
+    validated again. Callers check caps.
+    """
+    k = [1] * n
+    # prods[j] = 2^n * n! * k_1 * ... * k_j
+    prods = [(1 << n) * math.factorial(n)] * (n + 1)
+    # After the completion at height a (a = 0 before the first) the path
+    # climbs from a - 1 to b = k_{j+1} and steps down; climbs[a, b] holds
+    # those heights for each pair met so far. starts[j] is where the
+    # climb to k_{j+1} begins.
+    climbs: dict[tuple[int, int], tuple[int, ...]] = {}
+    heights: list[int] = []
+    starts = [0] * (n + 1)
+    ktuple = KTuple._trusted
+    dyck = DyckPath._trusted
+    for i in _odometer(k):
+        for j in range(i, n):
+            prods[j + 1] = prods[j] * k[j]
+        path = None
+        if with_path:
+            del heights[starts[i]:]
+            for j in range(i, n):
+                step = (k[j - 1] if j else 0, k[j])
+                climb = climbs.get(step)
+                if climb is None:
+                    a, b = step
+                    climb = climbs[step] = (*range(max(a, 1), b + 1), b - 1)
+                heights += climb
+                starts[j + 1] = len(heights)
+            path = dyck(heights)
+        yield ktuple(k), prods[n], path
 
 
 @dataclass(frozen=True)
@@ -132,8 +197,14 @@ class DistributionTable:
         return iter(self.entries)
 
     def total(self) -> Fraction:
-        """Sum of all probabilities; exactly 1 for a correctly built table."""
-        return sum(self.entries.values(), Fraction(0))
+        """Sum of all probabilities; exactly 1 for a correctly built table.
+
+        Summed as integers over the least common denominator, which is
+        ``(2n)!`` or a divisor of it for a table this module built.
+        """
+        values = self.entries.values()
+        den = math.lcm(*(p.denominator for p in values))
+        return Fraction(sum(p.numerator * (den // p.denominator) for p in values), den)
 
 
 def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
@@ -144,12 +215,7 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     """
     _check_cap(n, cap, "distribution table")
     denominator = math.factorial(2 * n)
-    prefactor = (1 << n) * math.factorial(n)
-    prod = math.prod
-    entries = {
-        t: Fraction(prefactor * prod(t), denominator)
-        for t in _ktuples_iter(n)
-    }
+    entries = {t: Fraction(c, denominator) for t, c, _ in _count_rows(n)}
     return DistributionTable(n=n, entries=entries)
 
 
@@ -203,7 +269,9 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
     the ``(2n)! / (2n - k)!`` ordered choices of the first ``k`` socks;
     each height's share of them is its probability.
     """
-    _check_cap(n, cap, "marginal law")
+    _check_cap(
+        n, cap, "marginal law", default=_MARGINAL_CAP, cost="O(n^2) height count"
+    )
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 2 * n:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
@@ -225,7 +293,9 @@ def max_distribution(n: int, *, cap: int | None = None) -> dict[int, Fraction]:
     consecutive caps. Every height ``1..n`` has positive mass. Keys
     ascend; masses sum to 1.
     """
-    _check_cap(n, cap, "maximum law")
+    _check_cap(
+        n, cap, "maximum law", default=_MAX_LAW_CAP, cost="O(n^3) height count"
+    )
     total = math.factorial(2 * n)
     law: dict[int, Fraction] = {}
     below = 0

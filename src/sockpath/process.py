@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import DyckPath, KTuple, _require_positive_int
 from .errors import MalformedInputError, ResourceLimitError
-from .probability import full_distribution
+from .probability import _count_rows
 
 __all__ = [
     "DEFAULT_BRUTE_FORCE_CAP",
@@ -67,8 +67,8 @@ __all__ = [
 # roughly a 400x blowup, so the default stops at 5.
 DEFAULT_BRUTE_FORCE_CAP = 5
 
-# Simulation reports compare against the exact law, which requires full
-# tuple enumeration, so the cap matches the enumeration default.
+# Simulation reports list every tuple of the exact law, Catalan(n) rows,
+# so the cap matches the enumeration default.
 DEFAULT_SIMULATION_CAP = 14
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is
@@ -475,6 +475,30 @@ def monte_carlo(
     changes the result. Whatever the cap, ``n`` above 31 raises
     :class:`ResourceLimitError`, since a run's path code must fit 64 bits.
     """
+    hits = _sampled_counts(n, trials, seed, workers=workers, cap=cap)
+    denominator = math.factorial(2 * n)
+    empirical = {}
+    comparison = {}
+    for t, count, _ in _count_rows(n):
+        empirical[t] = hits.get(t, 0)
+        freq = Fraction(empirical[t], trials)
+        p = Fraction(count, denominator)
+        comparison[t] = SimComparison(
+            frequency=freq, probability=p, deviation=abs(freq - p)
+        )
+    return SimulationReport(
+        n=n, trials=trials, seed=seed, empirical=empirical, comparison=comparison
+    )
+
+
+def _sampled_counts(
+    n: int, trials: int, seed: int, *, workers: int, cap: int | None
+) -> dict[KTuple, int]:
+    """Run :func:`monte_carlo`'s checks and sampling; return the hit tuples' counts.
+
+    Only tuples some trial realized appear, so memory grows with the
+    distinct outcomes drawn, not with Catalan(n).
+    """
     limit = DEFAULT_SIMULATION_CAP if cap is None else cap
     _require_positive_int("trials", trials)
     _require_positive_int("n", n)
@@ -505,15 +529,4 @@ def monte_carlo(
         return rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
 
     tally = _run_chunks(shuffled, -(-trials // _CHUNK_ROWS), workers)
-    counts = {_decode_code(code): c for code, c in tally.items()}
-    exact = full_distribution(n, cap=limit)
-    empirical = {t: counts.get(t, 0) for t in exact.entries}
-    comparison = {}
-    for t, p in exact.entries.items():
-        freq = Fraction(empirical[t], trials)
-        comparison[t] = SimComparison(
-            frequency=freq, probability=p, deviation=abs(freq - p)
-        )
-    return SimulationReport(
-        n=n, trials=trials, seed=seed, empirical=empirical, comparison=comparison
-    )
+    return {_decode_code(code): c for code, c in tally.items()}

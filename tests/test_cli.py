@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,9 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sockpath
-from sockpath.cli import _resolve_workers, format_decimal, main
+from sockpath.cli import (
+    _SIMULATE_ROW_JSON,
+    _TABLE_ROW_JSON,
+    _json_items,
+    _resolve_workers,
+    _stream_json,
+    format_decimal,
+    format_fraction,
+    main,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -46,6 +58,71 @@ def cli(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+def _render(fmt: str, header: list, rows: list, head: dict, metadata: dict) -> str:
+    """Build every row, then dump at once: the oracle for streamed output."""
+    if fmt == "json":
+        payload = {**head, "rows": rows, "metadata": metadata}
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def table_oracle(n: int, fmt: str, sort: str, precision: int) -> str:
+    """``table`` output from per-row Fractions, checked counts and paths."""
+    pairs = [(t, sockpath.tuple_probability(t)) for t in sockpath.enumerate_ktuples(n)]
+    if sort == "prob":
+        pairs.sort(key=lambda item: (-item[1], item[0]))
+    rows = []
+    for t, p in pairs:
+        exact, decimal = format_fraction(p), format_decimal(p, precision)
+        count = str(sockpath.permutation_count(t))
+        if fmt == "json":
+            rows.append({"tuple": list(t), "probability": exact,
+                         "probability_decimal": decimal, "count": count,
+                         "path": list(sockpath.path_of_ktuple(t))})
+        else:
+            rows.append([str(t), exact, decimal, count])
+    return _render(fmt, ["tuple", "probability", "probability_decimal", "count"],
+                   rows, {"n": n, "generator": "exact"}, {"precision": precision})
+
+
+def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) -> str:
+    """``simulate`` output rendered from a ``monte_carlo`` report."""
+    report = sockpath.monte_carlo(n, trials, seed)
+    max_dev = report.max_abs_deviation
+    rows = []
+    for t, row in report.comparison.items():
+        if fmt == "json":
+            rows.append({
+                "tuple": list(t),
+                "count": report.empirical[t],
+                "frequency": format_fraction(row.frequency),
+                "frequency_decimal": format_decimal(row.frequency, precision),
+                "probability": format_fraction(row.probability),
+                "probability_decimal": format_decimal(row.probability, precision),
+                "abs_deviation": format_fraction(row.deviation),
+                "abs_deviation_decimal": format_decimal(row.deviation, precision),
+            })
+        else:
+            rows.append([str(t), str(report.empirical[t]), format_fraction(row.frequency),
+                         format_fraction(row.probability),
+                         format_decimal(row.deviation, precision)])
+    if fmt == "csv":
+        rows.append(["max_abs_deviation", "", "", "", format_decimal(max_dev, precision)])
+    metadata = {
+        "seed": seed,
+        "trials": trials,
+        "precision": precision,
+        "max_abs_deviation": format_fraction(max_dev),
+        "max_abs_deviation_decimal": format_decimal(max_dev, precision),
+    }
+    return _render(fmt, ["tuple", "count", "frequency", "probability", "abs_deviation"],
+                   rows, {"n": n, "generator": "simulation"}, metadata)
 
 
 class TestProb:
@@ -154,6 +231,13 @@ class TestTable:
         code, _, err = cli("table", "3", "--max-n", "2")
         assert code == 3
         assert "warning" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_n_must_be_positive(self, cli, value):
+        code, out, err = cli("table", "3", "--max-n", value)
+        assert code == 2
+        assert out == ""
+        assert "--max-n must be >= 1" in err
 
 
 class TestPath:
@@ -325,6 +409,22 @@ class TestStats:
         code, _, _ = cli("stats", "2", "--what", "xk", "--k", "5")
         assert code == 2
 
+    def test_marginal_past_enumeration_cap(self, cli):
+        # the X_k law is an O(n^2) count with its own cap, past the
+        # enumeration cap of 14
+        code, out, _ = cli("stats", "15", "--k", "3")
+        assert code == 0
+        # E[X_k] = k(2n - k)/(2n - 1) = 3 * 27 / 29
+        assert out.splitlines()[-2] == "mean,81/29,2.793103"
+
+    def test_dp_caps_name_the_dp(self, cli):
+        code, _, err = cli("stats", "1001", "--k", "1")
+        assert code == 3
+        assert "O(n^2) height count" in err and "Catalan" not in err
+        code, _, err = cli("stats", "201", "--what", "max")
+        assert code == 3
+        assert "O(n^3) height count" in err and "Catalan" not in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, cli):
@@ -388,18 +488,131 @@ class TestBoundedMemory:
         "print(usage.ru_maxrss)\n"
     )
 
-    def _peak_rss_kb(self, trials: int) -> int:
+    def _peak_rss_kb(self, *argv: str) -> int:
         src = Path(sockpath.__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
         env["PYTHONPATH"] = str(src)
         proc = subprocess.run(
-            [sys.executable, "-c", self.LAUNCHER, "simulate", "2", "--trials", str(trials)],
+            [sys.executable, "-c", self.LAUNCHER, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
     def test_simulate_memory_does_not_grow_with_trials(self):
-        small = self._peak_rss_kb(500_000)
-        large = self._peak_rss_kb(4_000_000)
+        small = self._peak_rss_kb("simulate", "2", "--trials", "500000")
+        large = self._peak_rss_kb("simulate", "2", "--trials", "4000000")
         assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
+
+    def test_table_memory_does_not_grow_with_rows(self):
+        # 132 rows against 58,786: rows are written, not held
+        small = self._peak_rss_kb("table", "6", "--format", "json", "--sort", "lex")
+        large = self._peak_rss_kb("table", "11", "--format", "json", "--sort", "lex")
+        assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
+
+
+# The templates' string fields hold integers, ratios and decimals.
+_numeric_text = st.text(alphabet="0123456789/.", min_size=1, max_size=40)
+_int_lists = st.lists(st.integers(0, 10**4), min_size=1, max_size=30)
+
+
+class TestStreamedJson:
+    @staticmethod
+    def _streamed(head, rows, metadata) -> str:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _stream_json(head, rows, lambda: metadata)
+        return buf.getvalue()
+
+    @given(
+        rows=st.lists(
+            st.tuples(_int_lists, _numeric_text, _numeric_text,
+                      st.integers(0, 10**40), _int_lists),
+            min_size=1, max_size=4,
+        ),
+        n=st.integers(1, 40),
+        precision=st.integers(1, 50),
+    )
+    @settings(max_examples=100)
+    def test_table_template_is_json_dumps(self, rows, n, precision):
+        json_items = _json_items(10**4)
+        rendered = [_TABLE_ROW_JSON % (json_items(t), exact, decimal, count, json_items(path))
+                    for t, exact, decimal, count, path in rows]
+        objects = [{"tuple": t, "probability": exact, "probability_decimal": decimal,
+                    "count": str(count), "path": path}
+                   for t, exact, decimal, count, path in rows]
+        head, metadata = {"n": n, "generator": "exact"}, {"precision": precision}
+        for row, obj in zip(rendered, objects):
+            # each row alone, at its depth in the envelope
+            text = json.dumps({"rows": [obj]}, indent=2)
+            assert text == '{\n  "rows": [\n' + row + '\n  ]\n}'
+        assert self._streamed(head, rendered, metadata) == json.dumps(
+            {**head, "rows": objects, "metadata": metadata}, indent=2) + "\n"
+
+    @given(
+        rows=st.lists(
+            st.tuples(_int_lists, st.integers(0, 10**12), *[_numeric_text] * 6),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.integers(1, 10**12),
+        precision=st.integers(1, 50),
+        worst=st.tuples(_numeric_text, _numeric_text),
+    )
+    @settings(max_examples=100)
+    def test_simulate_template_is_json_dumps(self, rows, seed, trials, precision, worst):
+        names = ("frequency", "frequency_decimal", "probability",
+                 "probability_decimal", "abs_deviation", "abs_deviation_decimal")
+        json_items = _json_items(10**4)
+        rendered = [_SIMULATE_ROW_JSON % (json_items(t), hits, *texts)
+                    for t, hits, *texts in rows]
+        objects = [{"tuple": t, "count": hits, **dict(zip(names, texts))}
+                   for t, hits, *texts in rows]
+        head = {"n": 3, "generator": "simulation"}
+        metadata = {"seed": seed, "trials": trials, "precision": precision,
+                    "max_abs_deviation": worst[0], "max_abs_deviation_decimal": worst[1]}
+        assert self._streamed(head, rendered, metadata) == json.dumps(
+            {**head, "rows": objects, "metadata": metadata}, indent=2) + "\n"
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_equals_build_then_dump(self, cli, n):
+        for fmt in ("csv", "json"):
+            for sort in ("lex", "prob"):
+                for precision in (6, 3):
+                    code, out, _ = cli("table", str(n), "--format", fmt, "--sort", sort,
+                                       "--precision", str(precision))
+                    assert code == 0
+                    assert out == table_oracle(n, fmt, sort, precision), (fmt, sort, precision)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_simulate_equals_report_rendering(self, cli, n):
+        for seed, precision in ((0, 6), (7, 9), (2**63 + 5, 4)):
+            for fmt in ("csv", "json"):
+                code, out, _ = cli("simulate", str(n), "--trials", "3000", "--seed", str(seed),
+                                   "--format", fmt, "--precision", str(precision))
+                assert code == 0
+                assert out == simulate_oracle(n, 3000, seed, fmt, precision), (seed, fmt)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_without_traceback(self):
+        # table 10 is about 750 KB of CSV, far more than a pipe buffers, so
+        # the command is still writing when the reader goes away.
+        src = Path(sockpath.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from sockpath.cli import run; run()", "table", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"tuple,probability,probability_decimal,count\n"
+        assert err == b""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from sockpath import (
+    DyckPath,
     KTuple,
     MalformedInputError,
     ResourceLimitError,
@@ -24,6 +25,7 @@ from sockpath import (
     tuple_probability,
     validate_ktuple,
 )
+from sockpath.probability import _count_rows
 
 from conftest import valid_ktuples
 
@@ -223,6 +225,32 @@ class TestFullDistribution:
             assert p == tuple_probability(t)
 
 
+class TestCountRows:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rows_match_per_tuple_functions(self, n):
+        # the generator's products and paths against the validating versions
+        rows = list(_count_rows(n, with_path=True))
+        assert [t for t, _, _ in rows] == list(enumerate_ktuples(n))
+        for t, count, path in rows:
+            assert type(t) is KTuple and type(path) is DyckPath
+            assert count == permutation_count(t)
+            assert path == path_of_ktuple(t)
+        assert all(path is None for _, _, path in _count_rows(n))
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_counts_meet_closed_forms(self, n):
+        # (2n)! orderings in all; sum over tuples of prod(k_i) = (2n - 1)!!,
+        # the number of perfect matchings of 2n draw positions
+        orderings = products = rows = 0
+        for t, count, _ in _count_rows(n):
+            orderings += count
+            products += math.prod(t)
+            rows += 1
+        assert rows == catalan(n)
+        assert orderings == math.factorial(2 * n)
+        assert products == math.prod(range(1, 2 * n, 2))
+
+
 class TestMarginals:
     def test_n1_endpoints(self):
         assert marginal_xk(1, 1).law == {1: Fraction(1)}
@@ -270,8 +298,11 @@ class TestMarginals:
             marginal_xk(2, 5)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            marginal_xk(15, 1)
+        # the O(n^2) count has its own cap, far past the enumeration cap
+        assert marginal_xk(15, 1).law == {1: Fraction(1)}
+        with pytest.raises(ResourceLimitError, match=r"O\(n\^2\) height count"):
+            marginal_xk(1001, 1)
+        assert marginal_xk(1001, 1, cap=1001).law == {1: Fraction(1)}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_enumeration_every_k(self, n):
@@ -319,6 +350,14 @@ class TestMaxDistribution:
         law = max_distribution(n, cap=n)
         assert law[n] == Fraction(2**n * f(n) * f(n), f(2 * n))
         assert sum(law.values(), Fraction(0)) == 1
+
+    def test_cap(self):
+        # the O(n^3) count has its own cap, past the enumeration cap
+        assert sum(max_distribution(60).values(), Fraction(0)) == 1
+        with pytest.raises(ResourceLimitError, match=r"O\(n\^3\) height count"):
+            max_distribution(201)
+        with pytest.raises(ResourceLimitError):
+            max_distribution(5, cap=4)
 
     def test_max_equals_largest_entry(self):
         # the path's running maximum is the largest down-step height
