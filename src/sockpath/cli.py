@@ -25,7 +25,15 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DyckPath, KTuple, _check_cap, _climb, ktuple_of_path, path_of_ktuple
+from .core import (
+    DyckPath,
+    KTuple,
+    _check_cap,
+    _climb,
+    _dyck_paths_iter,
+    ktuple_of_path,
+    path_of_ktuple,
+)
 from .errors import (
     MalformedInputError,
     ResourceLimitError,
@@ -50,6 +58,10 @@ EXIT_INVALID = 4
 EXIT_BROKEN_PIPE = 141
 
 DEFAULT_PRECISION = 6
+
+# Highest --precision: CPython's default limit on the digits of an int
+# written as text, so every precision that ever printed still does.
+MAX_PRECISION = 4300
 
 
 # ----------------------------------------------------------------------
@@ -260,35 +272,37 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Write the table row by row from the lexicographic row generator.
 
-    Each valid tuple comes with its integer ordering count, and with its
-    path for JSON, so a row is rendered from integers over the shared
-    denominator ``(2n)!`` and written at once. ``--sort prob`` holds only
-    ``(-count, tuple)`` pairs, sorts them, then renders.
+    Each valid tuple comes with its integer ordering count, so a row is
+    rendered from integers over the shared denominator ``(2n)!`` and
+    written at once. JSON paths come from the walk of ``dyck_paths``:
+    the tuple-to-path bijection keeps lexicographic order, so the walk
+    meets the paths in the rows' order. ``--sort prob`` holds only
+    ``(-count, tuple)`` pairs, sorts them, then renders, rebuilding each
+    path from its tuple.
     """
     n = args.n
     _check_cap(n, _cap_override(args), "distribution table")
     texts = _probability_texts(n, args.precision)
-    with_path = args.format == "json"
-    rows: Iterable[tuple[KTuple, int, DyckPath | None]] = _count_rows(n, with_path)
+    rows: Iterable[tuple[KTuple, int]] = _count_rows(n)
+    paths: Iterable[DyckPath] = _dyck_paths_iter(n)
     if args.sort == "prob":
         # highest probability first; ties broken lexicographically
-        order = sorted((-count, t) for t, count, _ in rows)
-        rows = (
-            (t, -neg, _climb(t) if with_path else None) for neg, t in order
-        )
+        order = sorted((-count, t) for t, count in rows)
+        rows = ((t, -neg) for neg, t in order)
+        paths = (_climb(t) for _, t in order)
     if args.format == "json":
         json_items = _json_items(n)
         _stream_json(
             {"n": n, "generator": "exact"},
             (
                 _TABLE_ROW_JSON % (json_items(t), *texts(count), json_items(path))
-                for t, count, path in rows
+                for (t, count), path in zip(rows, paths)
             ),
             lambda: {"precision": args.precision},
         )
     else:
         _csv_writer(["tuple", "probability", "probability_decimal", "count"]).writerows(
-            (str(t), *texts(count)) for t, count, _ in rows
+            (str(t), *texts(count)) for t, count in rows
         )
     return EXIT_OK
 
@@ -354,7 +368,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     def compared() -> Iterator[tuple[KTuple, int, str, str, int]]:
         nonlocal worst
-        for t, count, _ in _count_rows(n):
+        for t, count in _count_rows(n):
             hit = hits.get(t, 0)
             exact, decimal, _ = texts(count)
             deviation = abs(hit * denominator - count * trials)
@@ -558,9 +572,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.precision < 1:
         print(f"sockpath: precision must be >= 1, got {args.precision}", file=sys.stderr)
         return EXIT_USAGE
+    if args.precision > MAX_PRECISION:
+        print(
+            f"sockpath: precision must be <= {MAX_PRECISION}, got {args.precision}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     if args.max_n is not None and args.max_n < 1:
         print(f"sockpath: --max-n must be >= 1, got {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
+    # Exact p/q output may need more digits than CPython converts by
+    # default: (2n-1)!!, the denominator for n ones, passes 4300 at n = 1424.
+    lift = hasattr(sys, "set_int_max_str_digits")  # absent before 3.10.7
+    if lift:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -575,6 +601,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SockPathError as exc:
         print(f"sockpath: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def run() -> None:

@@ -12,11 +12,13 @@ probability zero.
 
 Whole tables come from one row generator: an odometer steps through the
 valid tuples in lexicographic order, and each row carries the tuple's
-integer ordering count (and, on request, its Dyck path) built from the
-odometer's state, with no row validated again. Every row shares the
-denominator ``(2n)!``, so nothing needs a Fraction until the API
-boundary: :func:`full_distribution` and the Monte Carlo report build
-them there, while the CLI streams rows straight from the integers.
+integer ordering count built from the odometer's state, with no row
+validated again. Rows carry no paths: the tuple-to-path bijection keeps
+lexicographic order, so the walk of :func:`~sockpath.core.dyck_paths`
+meets the paths in the rows' order. Every row shares the denominator
+``(2n)!``, so nothing needs a Fraction until the API boundary:
+:func:`full_distribution` and the Monte Carlo report build them there,
+while the CLI streams rows straight from the integers.
 
 Marginal statistics (the table count after draw ``k``, the running
 maximum) come from the Markov chain on the table count instead of an
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import DyckPath, KTuple, _check_cap, validate_ktuple
+from .core import KTuple, _check_cap, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -135,45 +137,24 @@ def _odometer(k: list[int]) -> Iterator[int]:
             k[j] = prev - 1 if prev > 2 else 1
 
 
-def _count_rows(
-    n: int, with_path: bool = False
-) -> Iterator[tuple[KTuple, int, DyckPath | None]]:
+def _count_rows(n: int) -> Iterator[tuple[KTuple, int]]:
     """Every valid tuple of order ``n`` with its ordering count, lexicographically.
 
-    Yields ``(t, 2^n * n! * prod(t), path)``, where ``path`` is the Dyck
-    path realizing ``t`` when ``with_path`` is set and None otherwise.
-    Products and path segments are kept per prefix, so a step recomputes
-    only what follows the first entry the odometer changed; no row is
-    validated again. Callers check caps.
+    Yields ``(t, 2^n * n! * prod(t))``. Products are kept per prefix, so
+    a step recomputes only what follows the first entry the odometer
+    changed; no row is validated again. Paths are not built here: the
+    tuple-to-path bijection keeps lexicographic order, so the rows pair
+    one to one with the paths of :func:`~sockpath.core.dyck_paths`.
+    Callers check caps.
     """
     k = [1] * n
     # prods[j] = 2^n * n! * k_1 * ... * k_j
     prods = [(1 << n) * math.factorial(n)] * (n + 1)
-    # After the completion at height a (a = 0 before the first) the path
-    # climbs from a - 1 to b = k_{j+1} and steps down; climbs[a, b] holds
-    # those heights for each pair met so far. starts[j] is where the
-    # climb to k_{j+1} begins.
-    climbs: dict[tuple[int, int], tuple[int, ...]] = {}
-    heights: list[int] = []
-    starts = [0] * (n + 1)
     ktuple = KTuple._trusted
-    dyck = DyckPath._trusted
     for i in _odometer(k):
         for j in range(i, n):
             prods[j + 1] = prods[j] * k[j]
-        path = None
-        if with_path:
-            del heights[starts[i]:]
-            for j in range(i, n):
-                step = (k[j - 1] if j else 0, k[j])
-                climb = climbs.get(step)
-                if climb is None:
-                    a, b = step
-                    climb = climbs[step] = (*range(max(a, 1), b + 1), b - 1)
-                heights += climb
-                starts[j + 1] = len(heights)
-            path = dyck(heights)
-        yield ktuple(k), prods[n], path
+        yield ktuple(k), prods[n]
 
 
 @dataclass(frozen=True)
@@ -215,7 +196,7 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     """
     _check_cap(n, cap, "distribution table")
     denominator = math.factorial(2 * n)
-    entries = {t: Fraction(c, denominator) for t, c, _ in _count_rows(n)}
+    entries = {t: Fraction(c, denominator) for t, c in _count_rows(n)}
     return DistributionTable(n=n, entries=entries)
 
 

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,8 +269,10 @@ def _run_chunks(
     def process(index: int) -> Counter:
         return _tally_codes(_path_codes(make_chunk(index)))
 
+    # One thread per chunk in flight: never more than the CPUs or chunks.
+    workers = min(workers, count, os.cpu_count() or 1)
     tally: Counter = Counter()
-    if workers > 1 and count > 1:
+    if workers > 1:
         # Submit a chunk only when one finishes: a future per chunk held
         # up front would grow with the chunk count, not the worker count.
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -336,7 +339,6 @@ def brute_force_counts(
     *,
     cap: int | None = None,
     workers: int = 1,
-    collapse_sides: bool = False,
 ) -> dict[KTuple, int]:
     """Tally the tuple realized by every one of the ``(2n)!`` draw orders.
 
@@ -352,10 +354,6 @@ def brute_force_counts(
     once per call, so a chunk holds at most 498,960 orderings and
     ``workers`` chunks run at once. The tally does not depend on
     ``workers``.
-
-    With ``collapse_sides=True`` only the ``(2n)!/2^n`` distinct type
-    sequences are walked and each tally is scaled by ``2^n`` (side flags
-    cannot change a path); both modes agree exactly.
     """
     limit = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
     _require_positive_int("n", n)
@@ -376,49 +374,8 @@ def brute_force_counts(
             cap=_MAX_WALKABLE_N,
         )
 
-    if collapse_sides:
-        tally = Counter()
-        for types in _distinct_type_orders(n):
-            tally[_walk_types(types)] += 1
-        scale = 1 << n
-    else:
-        tally = _run_chunks(*_lexicographic_chunks(2 * n), workers)
-        scale = 1
-    return dict(sorted((_decode_code(code), count * scale) for code, count in tally.items()))
-
-
-def _walk_types(types: Sequence[int]) -> int:
-    # Scalar type-sequence walk, returning the same path code as _path_codes.
-    seen = 0
-    code = 0
-    for step, t in enumerate(types):
-        bit = 1 << t
-        if not seen & bit:
-            code |= 1 << step
-        seen |= bit
-    return code
-
-
-def _distinct_type_orders(n: int) -> Iterator[tuple[int, ...]]:
-    # All distinct arrangements of the multiset {0,0,1,1,...,n-1,n-1},
-    # lexicographic. Each stands for 2^n full orderings.
-    counts = [2] * n
-    seq: list[int] = []
-    total = 2 * n
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for t in range(n):
-            if counts[t]:
-                counts[t] -= 1
-                seq.append(t)
-                yield from extend()
-                seq.pop()
-                counts[t] += 1
-
-    return extend()
+    tally = _run_chunks(*_lexicographic_chunks(2 * n), workers)
+    return dict(sorted((_decode_code(code), count) for code, count in tally.items()))
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +436,7 @@ def monte_carlo(
     denominator = math.factorial(2 * n)
     empirical = {}
     comparison = {}
-    for t, count, _ in _count_rows(n):
+    for t, count in _count_rows(n):
         empirical[t] = hits.get(t, 0)
         freq = Fraction(empirical[t], trials)
         p = Fraction(count, denominator)

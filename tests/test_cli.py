@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -164,6 +165,28 @@ class TestProb:
     def test_precision_must_be_positive(self, cli):
         code, _, _ = cli("prob", "2,1", "--precision", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("prob", "2,1"), ("table", "2"), ("stats", "2", "--k", "1"),
+         ("simulate", "2", "--trials", "10")],
+    )
+    def test_precision_capped_at_int_text_limit(self, cli, argv):
+        code, out, _ = cli(*argv, "--precision", "4300")
+        assert code == 0
+        assert re.search(r"\.\d{4300}(?!\d)", out)
+        code, _, err = cli(*argv, "--precision", "4301")
+        assert code == 2
+        assert "4300" in err
+
+    def test_denominator_past_int_text_limit(self, cli):
+        # 2,000 ones: the reduced denominator (2n - 1)!! has about 6,300 digits
+        code, out, _ = cli("prob", ",".join(["1"] * 2000))
+        assert code == 0
+        exact, decimal = out.split()
+        p, q = exact.split("/")
+        assert p == "1" and q.isdigit() and len(q) > 4300
+        assert decimal == "(0.000000)"
 
 
 class TestTable:

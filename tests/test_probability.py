@@ -226,23 +226,29 @@ class TestFullDistribution:
 
 
 class TestCountRows:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_bijection_keeps_lexicographic_order(self, n):
+        # JSON tables pair the rows with dyck_paths' walk on this property
+        paths = [path_of_ktuple(t) for t in enumerate_ktuples(n)]
+        assert list(dyck_paths(n)) == paths
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rows_match_per_tuple_functions(self, n):
-        # the generator's products and paths against the validating versions
-        rows = list(_count_rows(n, with_path=True))
-        assert [t for t, _, _ in rows] == list(enumerate_ktuples(n))
-        for t, count, path in rows:
+        # the generator's products, paired with the path walk, against
+        # the validating versions
+        rows = list(zip(_count_rows(n), dyck_paths(n), strict=True))
+        assert [t for (t, _), _ in rows] == list(enumerate_ktuples(n))
+        for (t, count), path in rows:
             assert type(t) is KTuple and type(path) is DyckPath
             assert count == permutation_count(t)
             assert path == path_of_ktuple(t)
-        assert all(path is None for _, _, path in _count_rows(n))
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_counts_meet_closed_forms(self, n):
         # (2n)! orderings in all; sum over tuples of prod(k_i) = (2n - 1)!!,
         # the number of perfect matchings of 2n draw positions
         orderings = products = rows = 0
-        for t, count, _ in _count_rows(n):
+        for t, count in _count_rows(n):
             orderings += count
             products += math.prod(t)
             rows += 1

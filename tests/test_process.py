@@ -3,8 +3,10 @@
 import functools
 import itertools
 import math
+import os
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +38,6 @@ from sockpath.process import (
     _lexicographic_chunks,
     _path_codes,
     _run_chunks,
-    _walk_types,
 )
 
 from conftest import sock_orders
@@ -94,11 +95,10 @@ class TestRunProcess:
 
     @given(sock_orders(max_n=6))
     def test_path_codes_match_scalar_process(self, draws):
-        # both fast walks, decoded, against the reference process
+        # the vectorized walk, decoded, against the reference process
         expected = run_process(draws).tuple
         ids = np.array([[2 * (s.sock_type - 1) + s.side for s in draws]], dtype=np.int8)
         assert _decode_code(int(_path_codes(ids)[0])) == expected
-        assert _decode_code(_walk_types([s.sock_type - 1 for s in draws])) == expected
 
     @given(sock_orders(max_n=4))
     def test_first_appearance_relabeling(self, draws):
@@ -218,10 +218,6 @@ class TestBruteForce:
             assert c == permutation_count(t)
             assert Fraction(c, math.factorial(2 * n)) == tuple_probability(t)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_collapsed_mode_agrees(self, n):
-        assert brute_force_counts(n, collapse_sides=True) == brute_force_counts(n)
-
     # (suffix length, prefixes per chunk): the default, and two small
     # blocks that cut n = 3 and n = 4 into many chunks
     @pytest.mark.parametrize("suffix,block", [(7, 99), (3, 7), (2, 5)])
@@ -271,6 +267,22 @@ class TestRunChunks:
             tracemalloc.stop()
         assert tally == {0b01: 5_000}
         assert peak < 1_000_000
+
+    def test_threads_clamped_to_cpus(self, monkeypatch):
+        # one thread per chunk in flight: 64 workers on 2 CPUs start 2
+        monkeypatch.setattr(process, "_CHUNK_ROWS", 100)
+        base = monte_carlo(3, 1_000, seed=3, workers=1)
+        sizes = []
+
+        class SpyExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(process, "ThreadPoolExecutor", SpyExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert monte_carlo(3, 1_000, seed=3, workers=64) == base
+        assert sizes == [2]
 
 
 class TestMonteCarlo:
