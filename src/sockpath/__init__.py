@@ -53,11 +53,8 @@ _PROCESS_NAMES = frozenset(
         "SockSequence",
         "brute_force_counts",
         "monte_carlo",
-        "permutation_from_rank",
-        "permutation_rank",
         "random_permutation",
         "run_process",
-        "sequence_from_rank",
     }
 )
 
@@ -109,7 +106,4 @@ __all__ = [
     "random_permutation",
     "monte_carlo",
     "brute_force_counts",
-    "permutation_rank",
-    "permutation_from_rank",
-    "sequence_from_rank",
 ]

@@ -228,7 +228,10 @@ def _stream_json(
 
 
 def _resolve_workers() -> int:
-    """Worker bound from SOCKPATH_THREADS: unset -> 1, 0 -> all CPUs, N -> min(N, CPUs)."""
+    """Worker bound from SOCKPATH_THREADS: unset -> 1, 0 -> all CPUs, N -> N.
+
+    The engines clamp the bound to the CPU count themselves.
+    """
     raw = os.environ.get("SOCKPATH_THREADS")
     if raw is None:
         return 1
@@ -242,8 +245,7 @@ def _resolve_workers() -> int:
     if value < 0:
         print(f"warning: ignoring negative SOCKPATH_THREADS={raw}", file=sys.stderr)
         return 1
-    cpus = os.cpu_count() or 1
-    return cpus if value == 0 else min(value, cpus)
+    return (os.cpu_count() or 1) if value == 0 else value
 
 
 def _cap_override(args: argparse.Namespace) -> int | None:
@@ -595,9 +597,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidityError as exc:
         print(f"sockpath: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except MalformedInputError as exc:
-        print(f"sockpath: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SockPathError as exc:
         print(f"sockpath: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -254,6 +254,8 @@ def _check_cap(
     # objects an enumeration visits.
     limit = default if cap is None else cap
     _require_positive_int("n", n)
+    if cap is not None:
+        _require_positive_int("cap", cap)
     if n > limit:
         if cost is None:
             cost = f"enumeration cap {limit} (Catalan({n}) = {catalan(n)} objects)"

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sockpath
+from sockpath import process
 from sockpath.cli import (
     _SIMULATE_ROW_JSON,
     _TABLE_ROW_JSON,
@@ -464,9 +466,37 @@ class TestUsageErrors:
 
 
 class TestWorkers:
-    def test_thread_count_clamped_to_cpus(self, monkeypatch):
+    def test_thread_count_clamped_to_cpus(self, monkeypatch, cli):
+        # the CLI passes the bound through; the engines clamp it, and
+        # start no more threads than there are CPUs
         monkeypatch.setenv("SOCKPATH_THREADS", "1000000")
+        assert _resolve_workers() == 1_000_000
+        sizes = []
+
+        class SpyExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(process, "ThreadPoolExecutor", SpyExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(process, "_PREFIX_BLOCK", 5)
+        monkeypatch.setattr(process, "_CHUNK_ROWS", 100)
+        assert cli("verify", "4")[0] == 0
+        assert cli("simulate", "3", "--trials", "1000", "--seed", "3")[0] == 0
+        assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("raw", ["two", "-3"])
+    def test_bad_value_warns_and_runs_one_worker(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SOCKPATH_THREADS", raw)
+        assert _resolve_workers() == 1
+        assert capsys.readouterr().err.startswith("warning: ")
+
+    def test_zero_means_one_per_cpu(self, monkeypatch):
+        monkeypatch.setenv("SOCKPATH_THREADS", "0")
         assert _resolve_workers() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_workers() == 1
 
 
 class TestLazyNumpy:

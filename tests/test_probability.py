@@ -13,6 +13,7 @@ from sockpath import (
     MalformedInputError,
     ResourceLimitError,
     TupleValidityError,
+    brute_force_counts,
     catalan,
     dyck_paths,
     enumerate_ktuples,
@@ -20,6 +21,7 @@ from sockpath import (
     ktuple_of_path,
     marginal_xk,
     max_distribution,
+    monte_carlo,
     path_of_ktuple,
     permutation_count,
     tuple_probability,
@@ -384,6 +386,28 @@ class TestMaxDistribution:
 def test_non_integer_n_is_malformed(fn, args):
     with pytest.raises(MalformedInputError, match="n must be a positive integer"):
         fn(*args)
+
+
+@pytest.mark.parametrize("cap", ["5", 2.5, True, 0])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        dyck_paths,
+        enumerate_ktuples,
+        full_distribution,
+        lambda n, cap: marginal_xk(n, 1, cap=cap),
+        max_distribution,
+        brute_force_counts,
+        lambda n, cap: monte_carlo(n, 10, 1, cap=cap),
+    ],
+    ids=[
+        "dyck_paths", "enumerate_ktuples", "full_distribution", "marginal_xk",
+        "max_distribution", "brute_force_counts", "monte_carlo",
+    ],
+)
+def test_malformed_cap_is_malformed(fn, cap):
+    with pytest.raises(MalformedInputError, match="cap must be a positive integer"):
+        fn(2, cap=cap)
 
 
 class TestEntryPermutationInvariance:

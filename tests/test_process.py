@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -25,20 +26,12 @@ from sockpath import (
     max_distribution,
     monte_carlo,
     permutation_count,
-    permutation_from_rank,
-    permutation_rank,
     random_permutation,
     run_process,
-    sequence_from_rank,
     tuple_probability,
 )
 from sockpath import process
-from sockpath.process import (
-    _decode_code,
-    _lexicographic_chunks,
-    _path_codes,
-    _run_chunks,
-)
+from sockpath.process import _decode_code, _path_codes, _run_chunks, _tally_codes
 
 from conftest import sock_orders
 
@@ -153,32 +146,17 @@ class TestRandomPermutation:
         assert stat < 49.7282324664315
 
 
-class TestRankUnrank:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
-    def test_matches_lexicographic_enumeration(self, size):
-        perms = list(itertools.permutations(range(size)))
-        for rank, perm in enumerate(perms):
-            assert permutation_from_rank(rank, size) == perm
-            assert permutation_rank(perm) == rank
-
-    def test_round_trip_large(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            rank = rng.randrange(math.factorial(10))
-            assert permutation_rank(permutation_from_rank(rank, 10)) == rank
-
-    def test_bounds(self):
-        with pytest.raises(MalformedInputError):
-            permutation_from_rank(-1, 3)
-        with pytest.raises(MalformedInputError):
-            permutation_from_rank(6, 3)
-        with pytest.raises(MalformedInputError):
-            permutation_rank((0, 0, 1))
-
-    def test_sequence_from_rank(self):
-        assert sequence_from_rank(0, 2) == SockSequence(
-            [(1, 0), (1, 1), (2, 0), (2, 1)]
+def brute_force_chunks(monkeypatch, n, **kwargs):
+    """The tally and chunk iterator that ``brute_force_counts(n)`` hands ``_run_chunks``."""
+    handed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            process,
+            "_run_chunks",
+            lambda tally, chunks, workers: handed.append((tally, chunks)) or Counter(),
         )
+        brute_force_counts(n, **kwargs)
+    return handed[0]
 
 
 class TestBruteForce:
@@ -223,21 +201,47 @@ class TestBruteForce:
     @pytest.mark.parametrize("suffix,block", [(7, 99), (3, 7), (2, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_chunks_are_every_ordering_in_rank_order(self, monkeypatch, n, suffix, block):
+        # each prefix, then its remaining ids in suffix-table order: every
+        # ordering once, in lexicographic order; each block's tally is
+        # the plain walk's over those orderings
         monkeypatch.setattr(process, "_SUFFIX_LEN", suffix)
         monkeypatch.setattr(process, "_PREFIX_BLOCK", block)
-        make_chunk, count = _lexicographic_chunks(2 * n)
-        rows = np.concatenate([make_chunk(i) for i in range(count)])
-        assert rows.tolist() == [list(p) for p in itertools.permutations(range(2 * n))]
+        tally, chunks = brute_force_chunks(monkeypatch, n)
+        table = list(itertools.permutations(range(min(suffix, 2 * n))))
+        orderings = []
+        for prefixes in chunks:
+            assert 1 <= len(prefixes) <= block
+            rows = []
+            for prefix in prefixes:
+                rest = sorted(set(range(2 * n)) - set(prefix))
+                rows += [prefix + tuple(rest[i] for i in s) for s in table]
+            assert tally(prefixes) == _tally_codes(_path_codes(np.array(rows, np.int8)))
+            orderings += rows
+        assert orderings == list(itertools.permutations(range(2 * n)))
 
     def test_worker_count_does_not_matter(self, monkeypatch):
         # n = 4 is one chunk by default; small blocks cut it into 960
         whole = brute_force_counts(4)
         monkeypatch.setattr(process, "_SUFFIX_LEN", 3)
         monkeypatch.setattr(process, "_PREFIX_BLOCK", 7)
-        assert _lexicographic_chunks(8)[1] == 960
+        assert sum(1 for _ in brute_force_chunks(monkeypatch, 4)[1]) == 960
         for workers in (1, 2, 4):
             counts = brute_force_counts(4, workers=workers)
             assert list(counts.items()) == list(whole.items())
+
+    def test_prefix_blocks_are_lazy(self, monkeypatch):
+        # n = 10 has 20!/7! prefixes; the first block of 99 must not
+        # cost more than the block itself
+        _, chunks = brute_force_chunks(monkeypatch, 10, cap=10)
+        tracemalloc.start()
+        try:
+            first = next(chunks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first[:2] == [tuple(range(13)), tuple(range(12)) + (13,)]
+        assert len(first) == 99
+        assert peak < 1_000_000
 
     def test_cap_suggests_monte_carlo(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -261,7 +265,8 @@ class TestRunChunks:
         # some 9 MB for these 5,000; two workers need only two at a time
         tracemalloc.start()
         try:
-            tally = _run_chunks(lambda i: np.zeros((1, 2), np.int8), 5_000, 2)
+            chunks = (np.zeros((1, 2), np.int8) for _ in range(5_000))
+            tally = _run_chunks(lambda c: _tally_codes(_path_codes(c)), chunks, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
