@@ -44,7 +44,6 @@ from .probability import (
     _count_rows,
     marginal_xk,
     max_distribution,
-    permutation_count,
     tuple_probability,
 )
 
@@ -276,9 +275,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     Each valid tuple comes with its integer ordering count, so a row is
     rendered from integers over the shared denominator ``(2n)!`` and
-    written at once. JSON paths come from the walk of ``dyck_paths``:
-    the tuple-to-path bijection keeps lexicographic order, so the walk
-    meets the paths in the rows' order. ``--sort prob`` holds only
+    written at once. JSON paths come from the walk of ``dyck_paths``,
+    which steps the same odometer as the rows, so each path arrives with
+    its tuple. ``--sort prob`` holds only
     ``(-count, tuple)`` pairs, sorts them, then renders, rebuilding each
     path from its tuple.
     """
@@ -333,18 +332,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     total = sum(counts.values())
     expected_total = math.factorial(2 * args.n)
     failures = 0
-    for t, tally in counts.items():
-        expected = permutation_count(t)
-        if tally == expected:
+    # Every valid tuple is checked, tallied or not, and so is every
+    # tallied tuple, valid or not (no ordering realizes an invalid one).
+    expected = dict(_count_rows(args.n))
+    checked = sorted(expected.keys() | counts.keys())
+    for t in checked:
+        tally, want = counts.get(t, 0), expected.get(t, 0)
+        if tally == want:
             print(f"PASS {t}: {tally} orderings")
         else:
             failures += 1
-            print(f"FAIL {t}: {tally} orderings, expected {expected}")
+            print(f"FAIL {t}: {tally} orderings, expected {want}")
     if total != expected_total:
         failures += 1
         print(f"FAIL total: {total} orderings tallied, expected {expected_total}")
     verdict = "PASS" if failures == 0 else "FAIL"
-    print(f"{verdict}, {len(counts)} tuples checked against {expected_total} orderings")
+    print(f"{verdict}, {len(checked)} tuples checked against {expected_total} orderings")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -433,6 +436,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         law = stat.law
         moments = [("mean", stat.mean), ("variance", stat.variance)]
     else:
+        if args.k is not None:
+            raise MalformedInputError("--k applies only to --what xk")
         law = max_distribution(args.n, cap=cap)
         moments = []
     if args.format == "json":

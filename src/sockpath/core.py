@@ -258,7 +258,10 @@ def _check_cap(
         _require_positive_int("cap", cap)
     if n > limit:
         if cost is None:
-            cost = f"enumeration cap {limit} (Catalan({n}) = {catalan(n)} objects)"
+            # Past n = 100 the count has more than 57 digits, and from
+            # n = 7,153 more than str() converts by default: name it only.
+            count = f" = {catalan(n)}" if n <= 100 else ""
+            cost = f"enumeration cap {limit} (Catalan({n}){count} objects)"
         else:
             cost = f"cap {limit} of its {cost}"
         raise ResourceLimitError(
@@ -272,40 +275,55 @@ def dyck_paths(n: int, *, cap: int | None = None) -> Iterator[DyckPath]:
     """Yield every Dyck path of semilength ``n`` exactly once.
 
     Paths come in lexicographic order of their height sequences; the
-    total count is ``catalan(n)``. The generator keeps a single mutable
-    path and steps it to its lexicographic successor: find the rightmost
-    down-step that can be flipped upward and still return to 0 in the
-    remaining steps, flip it, and finish with the minimal (greedy
-    downward) completion.
+    total count is ``catalan(n)``. The tuple-to-path bijection keeps
+    lexicographic order, so the walk steps the tuples with
+    :func:`_odometer` and rewrites only the path's tail: when entry ``i``
+    (0-based) rises to ``h``, the path now climbs to ``h`` before its
+    ``i``-th down-step, then takes the minimal (greedy downward)
+    completion.
     """
     _check_cap(n, cap, "path enumeration")
     return _dyck_paths_iter(n)
 
 
 def _dyck_paths_iter(n: int) -> Iterator[DyckPath]:
-    m = 2 * n
-    x = [0] * m
-    _min_completion(x, 0, 0)
-    yield DyckPath._trusted(tuple(x))
+    k = [1] * n
+    x = [0] * (2 * n)
+    trusted = DyckPath._trusted
+    for i in _odometer(k):
+        # Entry i rose to h and the entries after it are minimal. The
+        # path makes h + i up-steps before its i-th down-step, so it peaks
+        # at h in x[h + 2i - 1], then descends greedily; earlier heights
+        # stay as they were.
+        h = k[i]
+        x[h + 2 * i - 1] = h
+        for j in range(h + 2 * i, 2 * n):
+            h = h - 1 if h > 0 else h + 1
+            x[j] = h
+        yield trusted(tuple(x))
+
+
+def _odometer(k: list[int]) -> Iterator[int]:
+    """Step ``k`` in place through every valid tuple of its order, lexicographically.
+
+    ``k`` must start as all ones. Before each step the generator yields
+    the index of the first entry changed since the previous tuple (0 for
+    the first); that entry rose by one and every entry after it holds
+    its minimum, ``max(1, k_{j-1} - 1)``. Callers update only the state
+    that follows that index: prefix products for the probability rows,
+    the path's tail for :func:`dyck_paths`. Entry ``i`` (0-based) is at
+    most ``n - i``, the pairs not yet completed when it is taken.
+    """
+    n = len(k)
+    i = 0
     while True:
-        i = m - 2
-        while i >= 1:
-            prev = x[i - 1]
-            # x[i] flips from prev-1 to prev+1 if the higher value can
-            # still reach 0 within the 2n-1-i steps that follow.
-            if x[i] == prev - 1 and prev + 1 <= m - 1 - i:
-                x[i] = prev + 1
-                _min_completion(x, i + 1, prev + 1)
-                yield DyckPath._trusted(tuple(x))
-                break
+        yield i
+        i = n - 2
+        while i >= 0 and k[i] >= n - i:
             i -= 1
-        else:
+        if i < 0:
             return
-
-
-def _min_completion(x: list, start: int, h: int) -> None:
-    # Fill x[start:] with the lexicographically smallest continuation from
-    # height h: step down whenever possible, else up. Ends at 0.
-    for i in range(start, len(x)):
-        h = h - 1 if h > 0 else h + 1
-        x[i] = h
+        k[i] += 1
+        for j in range(i + 1, n):
+            prev = k[j - 1]
+            k[j] = prev - 1 if prev > 2 else 1

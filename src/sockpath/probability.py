@@ -10,11 +10,12 @@ orderings of the ``2n`` distinguishable socks, so its probability is
 ``2^n * n! * prod(k_i) / (2n)!``. Tuples no Dyck path realizes have
 probability zero.
 
-Whole tables come from one row generator: an odometer steps through the
-valid tuples in lexicographic order, and each row carries the tuple's
-integer ordering count built from the odometer's state, with no row
-validated again. Rows carry no paths: the tuple-to-path bijection keeps
-lexicographic order, so the walk of :func:`~sockpath.core.dyck_paths`
+Whole tables come from one row generator: the odometer of
+:mod:`sockpath.core` steps through the valid tuples in lexicographic
+order, and each row carries the tuple's integer ordering count built
+from the odometer's state, with no row validated again. Rows carry no
+paths: :func:`~sockpath.core.dyck_paths` steps the same odometer, and
+the tuple-to-path bijection keeps lexicographic order, so its walk
 meets the paths in the rows' order. Every row shares the denominator
 ``(2n)!``, so nothing needs a Fraction until the API boundary:
 :func:`full_distribution` and the Monte Carlo report build them there,
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import KTuple, _check_cap, validate_ktuple
+from .core import KTuple, _check_cap, _odometer, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -113,28 +114,6 @@ def _ktuples_iter(n: int) -> Iterator[KTuple]:
     trusted = KTuple._trusted
     for _ in _odometer(k):
         yield trusted(tuple(k))
-
-
-def _odometer(k: list[int]) -> Iterator[int]:
-    """Step ``k`` in place through every valid tuple of its order, lexicographically.
-
-    ``k`` must start as all ones. Before each step the generator yields
-    the index of the first entry changed since the previous tuple (0 for
-    the first), so callers can update state kept per prefix.
-    """
-    n = len(k)
-    i = 0
-    while True:
-        yield i
-        i = n - 2
-        while i >= 0 and k[i] >= n - i:
-            i -= 1
-        if i < 0:
-            return
-        k[i] += 1
-        for j in range(i + 1, n):
-            prev = k[j - 1]
-            k[j] = prev - 1 if prev > 2 else 1
 
 
 def _count_rows(n: int) -> Iterator[tuple[KTuple, int]]:

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DyckPath, KTuple, _require_positive_int
+from .core import DyckPath, KTuple, _check_cap, _require_positive_int
 from .errors import MalformedInputError, ResourceLimitError
 from .probability import _count_rows
 
@@ -314,23 +314,18 @@ def brute_force_counts(
     498,960 orderings and ``workers`` chunks run at once. The tally does
     not depend on ``workers``.
     """
-    limit = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-    _require_positive_int("n", n)
     _require_positive_int("workers", workers)
-    if cap is not None:
-        _require_positive_int("cap", cap)
-    if n > limit:
-        raise ResourceLimitError(
-            f"brute force over (2*{n})! = {math.factorial(2 * n)} orderings exceeds "
-            f"the cap {limit}; use monte_carlo for an empirical check instead",
-            n=n,
-            cap=limit,
-        )
+    _check_cap(
+        n,
+        cap,
+        "brute force",
+        default=DEFAULT_BRUTE_FORCE_CAP,
+        cost="(2n)! orderings (use monte_carlo for an empirical check)",
+    )
     if n > _MAX_WALKABLE_N:
         raise ResourceLimitError(
-            f"(2*{n})! = {math.factorial(2 * n)} orderings cannot be walked; "
-            f"brute force refuses n > {_MAX_WALKABLE_N} whatever the cap; "
-            "use monte_carlo instead",
+            f"(2*{n})! orderings cannot be walked; brute force refuses "
+            f"n > {_MAX_WALKABLE_N} whatever the cap; use monte_carlo instead",
             n=n,
             cap=_MAX_WALKABLE_N,
         )
@@ -422,22 +417,13 @@ def _sampled_counts(
     Only tuples some trial realized appear, so memory grows with the
     distinct outcomes drawn, not with Catalan(n).
     """
-    limit = DEFAULT_SIMULATION_CAP if cap is None else cap
     _require_positive_int("trials", trials)
-    _require_positive_int("n", n)
     _require_positive_int("workers", workers)
-    if cap is not None:
-        _require_positive_int("cap", cap)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise MalformedInputError(
             f"seed must be an unsigned 64-bit integer, got {seed!r}"
         )
-    if n > limit:
-        raise ResourceLimitError(
-            f"simulation comparison for n = {n} exceeds the cap {limit}",
-            n=n,
-            cap=limit,
-        )
+    _check_cap(n, cap, "simulation comparison", default=DEFAULT_SIMULATION_CAP)
     if n > _MAX_PATH_N:
         raise ResourceLimitError(
             f"simulation for n = {n} exceeds the {_MAX_PATH_N} pairs a 64-bit "

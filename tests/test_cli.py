@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sockpath
-from sockpath import process
+from sockpath import KTuple, process
 from sockpath.cli import (
     _SIMULATE_ROW_JSON,
     _TABLE_ROW_JSON,
@@ -339,6 +339,33 @@ class TestVerify:
         code, _, _ = cli("verify", "6")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "moved,expected_line",
+        [
+            # (2,1,1)'s orderings tallied under (1,1,1)
+            ((1, 1, 1), "FAIL (1,1,1): 144 orderings, expected 48"),
+            # (2,1,1)'s orderings decoded to a tuple no path realizes
+            ((7, 1, 1), "FAIL (7,1,1): 96 orderings, expected 0"),
+        ],
+    )
+    def test_faulty_tally_fails_and_names_it(self, cli, monkeypatch, moved, expected_line):
+        exact = process.brute_force_counts
+
+        def faulty(n, **kwargs):
+            counts = exact(n, **kwargs)
+            hits = counts.pop(KTuple((2, 1, 1)))
+            counts[KTuple(moved)] = counts.get(KTuple(moved), 0) + hits
+            return counts
+
+        monkeypatch.setattr(process, "brute_force_counts", faulty)
+        code, out, _ = cli("verify", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert expected_line in lines
+        # the valid tuple no ordering reached is named too
+        assert "FAIL (2,1,1): 0 orderings, expected 96" in lines
+        assert lines[-1].startswith("FAIL, ")
+
 
 class TestSimulate:
     def test_single_pair_exact(self, cli):
@@ -429,6 +456,11 @@ class TestStats:
         code, _, err = cli("stats", "2", "--what", "xk")
         assert code == 2
         assert "--k" in err
+
+    def test_k_with_max_is_usage_error(self, cli):
+        code, out, err = cli("stats", "3", "--what", "max", "--k", "99")
+        assert code == 2
+        assert out == "" and "--k" in err
 
     def test_k_out_of_range(self, cli):
         code, _, _ = cli("stats", "2", "--what", "xk", "--k", "5")
@@ -525,6 +557,20 @@ class TestLazyNumpy:
         assert sockpath.monte_carlo is sockpath.process.monte_carlo
         with pytest.raises(AttributeError):
             sockpath.no_such_name
+
+    def test_public_name_lists_agree(self):
+        # the package re-exports each module's __all__, and nothing else
+        from sockpath import core, errors, probability
+
+        assert sockpath._PROCESS_NAMES == set(process.__all__)
+        exceptions = {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, Exception)
+        }
+        assert set(sockpath.__all__) == (
+            set(core.__all__) | set(probability.__all__) | set(process.__all__)
+            | exceptions | {"__version__"}
+        )
 
 
 class TestBoundedMemory:

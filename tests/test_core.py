@@ -1,5 +1,7 @@
 """Domain types and the tuple/path bijection."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -220,6 +222,17 @@ class TestDyckPathsGenerator:
         assert len(paths) == catalan(n) == catalan_by_recurrence(n)
         assert len(set(paths)) == len(paths)
         assert paths == sorted(paths)  # lexicographic by height sequence
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_sorted_step_sequences(self, n):
+        # shares no code with the walk: every +-1 step sequence of length
+        # 2n that stays >= 0 and ends at 0, as heights, sorted
+        paths = []
+        for steps in itertools.product((1, -1), repeat=2 * n):
+            heights = list(itertools.accumulate(steps))
+            if min(heights) >= 0 and heights[-1] == 0:
+                paths.append(tuple(heights))
+        assert [tuple(p) for p in dyck_paths(n)] == sorted(paths)
 
     def test_bijection_cardinality_through_n12(self):
         from sockpath import enumerate_ktuples

@@ -410,6 +410,25 @@ def test_malformed_cap_is_malformed(fn, cap):
         fn(2, cap=cap)
 
 
+@pytest.mark.parametrize(
+    "call,cap",
+    [
+        (lambda: dyck_paths(8000), 14),
+        (lambda: enumerate_ktuples(8000), 14),
+        (lambda: monte_carlo(8000, 10, 1), 14),
+        (lambda: brute_force_counts(5000), 5),
+    ],
+    ids=["dyck_paths", "enumerate_ktuples", "monte_carlo", "brute_force_counts"],
+)
+def test_cap_message_for_huge_n(call, cap):
+    # Catalan(8000) and 10000! have more digits than str() converts by
+    # default; the refusal names the cost instead of printing it
+    with pytest.raises(ResourceLimitError) as exc:
+        call()
+    assert exc.value.cap == cap
+    assert len(str(exc.value)) < 200
+
+
 class TestEntryPermutationInvariance:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_probability_depends_on_multiset_only(self, n):

@@ -255,8 +255,9 @@ class TestBruteForce:
         assert sum(counts.values()) == math.factorial(8)
 
     def test_rank_space_hard_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as exc:
             brute_force_counts(11, cap=11)
+        assert exc.value.cap == 10
 
 
 class TestRunChunks:
@@ -377,8 +378,23 @@ class TestMonteCarlo:
             monte_carlo(2, 10, seed=-1)
         with pytest.raises(MalformedInputError):
             monte_carlo(2, 10, seed=2**64)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as exc:
             monte_carlo(15, 10, seed=1)
+        assert exc.value.cap == 14
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: monte_carlo(15, 10, seed=-1),
+            lambda: monte_carlo(15, 10, 1, workers=0),
+            lambda: brute_force_counts(6, workers=0),
+        ],
+        ids=["monte_carlo-seed", "monte_carlo-workers", "brute_force_counts-workers"],
+    )
+    def test_malformed_input_wins_over_the_cap(self, call):
+        # n is past the default cap, but the malformed argument is named
+        with pytest.raises(MalformedInputError):
+            call()
 
     def test_path_width_limit(self):
         # raised before sampling or enumerating Catalan(32) tuples
