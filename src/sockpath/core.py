@@ -52,6 +52,17 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _entries(values: Iterable, what: str) -> tuple:
+    # A value that cannot be iterated denotes no model object at all.
+    try:
+        items = iter(values)
+    except TypeError:
+        raise MalformedInputError(
+            f"{what} must be iterable, got {type(values).__name__}"
+        ) from None
+    return tuple(items)
+
+
 class KTuple(tuple):
     """Completion-height tuple ``(k_1, ..., k_n)``.
 
@@ -68,7 +79,7 @@ class KTuple(tuple):
     def __new__(cls, entries: Iterable[int]) -> "KTuple":
         if isinstance(entries, KTuple):
             return entries
-        vals = tuple(entries)
+        vals = _entries(entries, "a tuple")
         if not vals:
             raise MalformedInputError("tuple must be non-empty")
         for i, v in enumerate(vals, 1):
@@ -111,7 +122,7 @@ class DyckPath(tuple):
     def __new__(cls, heights: Iterable[int]) -> "DyckPath":
         if isinstance(heights, DyckPath):
             return heights
-        x = tuple(heights)
+        x = _entries(heights, "a path")
         if not x:
             raise PathValidityError("path must be non-empty", index=1)
         for i, v in enumerate(x, 1):

@@ -16,9 +16,12 @@ Two verification engines live here:
   chunk is a fixed block of consecutive prefixes, taken in order from
   ``itertools.permutations``. Each prefix is walked once, and its table
   state is carried into the ``m`` suffix draws of its ``m!`` orderings,
-  which one table of suffix permutations arranges. Chunk tallies merge
-  by summation. Chunk boundaries do not depend on the worker count, so
-  results never do either.
+  which one lexicographic table of suffix permutations arranges. The
+  suffix draws are walked as a tree: orderings that share their first
+  ``j`` suffix draws share those steps, and the last draw, which always
+  completes a pair, is not walked. Chunk tallies merge by summation.
+  Chunk boundaries do not depend on the worker count, so results never
+  do either.
 * :func:`monte_carlo` samples orderings uniformly by shuffling tiles of
   sock ids. Trials are cut into fixed chunks of at most 500,000 rows,
   and chunk ``i`` draws from its own counter-based stream,
@@ -28,7 +31,9 @@ Two verification engines live here:
 Both engines build each chunk inside the worker that tallies it, and a
 chunk is handed to a worker only when one is free, so no more than
 ``workers`` chunks are held at once. The worker count is clamped to the
-CPU count here, and nowhere else.
+CPU count here, and nowhere else. Both walk with int32 state while the
+``2n``-bit path code fits (``n <= 15``, so all of brute force), and with
+int64 past that.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DyckPath, KTuple, _check_cap, _require_positive_int
+from .core import DyckPath, KTuple, _check_cap, _entries, _require_positive_int
 from .errors import MalformedInputError, ResourceLimitError
 from .probability import _count_rows
 
@@ -72,8 +77,8 @@ DEFAULT_BRUTE_FORCE_CAP = 5
 DEFAULT_SIMULATION_CAP = 14
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is
-# about 2.4e18 orderings, millennia at ten million a second; 22! is a
-# thousand times more. Nothing past it can be walked.
+# about 2.4e18 orderings, some 1,500 years at fifty million a second;
+# 22! is a thousand times more. Nothing past it can be walked.
 _MAX_WALKABLE_N = 10
 
 # Largest n whose 2n-step path code fits a signed 64-bit integer.
@@ -91,11 +96,22 @@ def _all_socks(n: int) -> list[Sock]:
     return [Sock(t, s) for t in range(1, n + 1) for s in (0, 1)]
 
 
+def _sock(i: int, draw: object) -> Sock:
+    try:
+        sock_type, side = draw
+    except (TypeError, ValueError):
+        raise MalformedInputError(
+            f"draw {i} is {draw!r}, not a (type, side) pair"
+        ) from None
+    return Sock(sock_type, side)
+
+
 class SockSequence(tuple):
     """A draw order: a permutation of all ``2n`` socks of ``n`` pairs.
 
     Entries may be given as ``Sock`` values or bare ``(type, side)``
-    pairs. Duplicate or missing socks raise :class:`MalformedInputError`.
+    pairs. Duplicate or missing socks, an entry that is not a pair and a
+    value that is not iterable raise :class:`MalformedInputError`.
     """
 
     __slots__ = ()
@@ -103,7 +119,8 @@ class SockSequence(tuple):
     def __new__(cls, draws: Iterable[Sock | tuple]) -> "SockSequence":
         if isinstance(draws, SockSequence):
             return draws
-        items = tuple(Sock(t, s) for t, s in draws)
+        numbered = enumerate(_entries(draws, "a draw order"), 1)
+        items = tuple(_sock(i, draw) for i, draw in numbered)
         if not items or len(items) % 2:
             raise MalformedInputError(
                 f"a draw order must list all socks of whole pairs, got {len(items)} draws"
@@ -181,20 +198,32 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
 # Vectorized batch engine (shared by brute force and Monte Carlo)
 # ----------------------------------------------------------------------
 
-def _walk(
-    types: Iterable[np.ndarray], seen: np.ndarray, code: np.ndarray, first: int
-) -> None:
-    """Carry a batch of walks on, in place, from draw ``first``.
+def _state_dtype(n: int) -> type:
+    # A walk's seen mask has n bits and its path code 2n: int32 holds both
+    # while 2n <= 31, which covers all of brute force (n <= 10).
+    return np.int32 if 2 * n <= 31 else np.int64
 
-    Each item of ``types`` holds the next draw's pair type for every walk.
-    ``seen`` is each walk's mask of types drawn so far and ``code`` its
-    path code so far: bit ``i`` is set when draw ``i`` is an up-step, that
-    is, the first sock of its type.
+
+def _walk(types: Iterable[np.ndarray], dtype: type) -> np.ndarray:
+    """Run a batch of walks from an empty table; return their path codes.
+
+    Item ``i`` of ``types`` holds draw ``i``'s pair type for every walk,
+    and bit ``i`` of a code is set when draw ``i`` is an up-step, that is,
+    the first sock of its type. Each walk's mask of types drawn so far
+    (``seen``) and its code are kept as ``dtype``. Both callers leave out
+    the last draw, which always completes a pair. An item may broadcast
+    against the state so far: brute force walks its suffix draws as a
+    tree, and each suffix draw adds a leading axis that branches every
+    node into its children.
     """
-    for step, row in enumerate(types, first):
-        bit = np.left_shift(1, row, dtype=np.int64)
-        code |= ((seen & bit) == 0).astype(np.int64) << step
-        seen |= bit
+    seen = code = bit = 0
+    for step, row in enumerate(types):
+        # A draw's bit joins seen at the next step, so no pass is spent
+        # on the last one.
+        seen = seen | bit
+        bit = np.left_shift(1, row, dtype=dtype)
+        code = code | ((seen & bit) == 0).astype(dtype) << step
+    return code
 
 
 def _path_codes(perm: np.ndarray) -> np.ndarray:
@@ -202,15 +231,11 @@ def _path_codes(perm: np.ndarray) -> np.ndarray:
 
     Returns one integer per row: bit ``i`` is set when draw ``i`` is an
     up-step. The code has ``2n`` bits, so it is valid for
-    ``n <= _MAX_PATH_N``.
+    ``n <= _MAX_PATH_N``; it is int32 while ``2n <= 31`` and int64 past
+    that. The last draw always completes a pair, so it is not walked.
     """
-    # The transposed copy comes before seen and code: allocated the other
-    # way round, simulate 5 --trials 1000000 peaks about 2 MB higher.
-    types = (perm >> 1).T.copy()
-    seen = np.zeros(len(perm), dtype=np.int64)
-    code = np.zeros(len(perm), dtype=np.int64)
-    _walk(types, seen, code, 0)
-    return code
+    types = (perm[:, :-1] >> 1).T.copy()
+    return _walk(types, _state_dtype(perm.shape[1] // 2))
 
 
 def _decode_code(code: int) -> KTuple:
@@ -270,26 +295,33 @@ _PREFIX_BLOCK = _CHUNK_ROWS // math.factorial(_SUFFIX_LEN)
 def _tally_block(prefixes: list[tuple[int, ...]], suffixes: np.ndarray) -> Counter:
     """Tally every ordering that starts with one of ``prefixes``.
 
-    ``suffixes`` lists arrangements of ``range(m)``, where ``m`` ids are
-    left after each prefix. The orderings of a prefix follow it with its
-    remaining ids, ascending, rearranged by each row of ``suffixes`` in
-    turn. Each prefix is walked once; only the ``m`` suffix draws are
-    walked per ordering.
+    ``suffixes`` lists all arrangements of ``range(m)`` in lexicographic
+    order, where ``m`` ids are left after each prefix. The orderings of a
+    prefix follow it with its remaining ids, ascending, rearranged by each
+    row of ``suffixes`` in turn. Each prefix is walked once, and the
+    suffix draws are walked as a tree: the orderings that share their
+    first ``j + 1`` suffix draws share one node, so draw ``j`` is walked
+    ``m!/(m - j - 1)!`` times per prefix, not ``m!``. The last draw always
+    completes a pair and is not walked.
     """
     head = np.array(prefixes, dtype=np.int8)
     rows, start = head.shape
-    arrangements, m = suffixes.shape
-    seen = np.zeros(rows, dtype=np.int64)
-    code = np.zeros(rows, dtype=np.int64)
-    _walk((head >> 1).T, seen, code, 0)
+    m = suffixes.shape[1]
     taken = np.zeros((rows, start + m), dtype=bool)
     taken[np.arange(rows)[:, None], head] = True
-    rest_types = (np.nonzero(~taken)[1].reshape(rows, m) >> 1).astype(np.int8)
-    # Row i of the suffix draws holds prefix i's m! orderings.
-    seen = np.repeat(seen[:, None], arrangements, axis=1)
-    code = np.repeat(code[:, None], arrangements, axis=1)
-    _walk((rest_types[:, column] for column in suffixes.T), seen, code, start)
-    return _tally_codes(code)
+    rest_types = (np.nonzero(~taken)[1].reshape(rows, m) >> 1).astype(np.int8).T
+    # The nodes of depth j are rows ::(m - j - 1)! of the table. Indexed
+    # newest draw first and prefix last, depth j's types have one more
+    # leading axis than depth j - 1's, so the walk broadcasts each node's
+    # state over its m - j children.
+    depths = (
+        rest_types[
+            suffixes[:: math.factorial(m - j - 1), j].reshape(range(m, m - j - 1, -1)).T
+        ]
+        for j in range(m - 1)
+    )
+    draws = itertools.chain((head >> 1).T, depths)
+    return _tally_codes(_walk(draws, _state_dtype((start + m) // 2)))
 
 
 def brute_force_counts(
@@ -309,10 +341,13 @@ def brute_force_counts(
     chunks of 99 consecutive prefixes of length ``2n - 7`` (one prefix
     of length 0 when ``n <= 3``), taken from ``itertools.permutations``.
     Each prefix is walked once; its remaining ids are arranged through
-    one table of all ``7!`` suffix permutations, built once per call, and
-    only those 7 draws are walked per ordering. A chunk holds at most
-    498,960 orderings and ``workers`` chunks run at once. The tally does
-    not depend on ``workers``.
+    one lexicographic table of all ``7!`` suffix permutations, built once
+    per call. The suffix draws are walked as a tree of shared suffix
+    prefixes, 8,659 steps per prefix where one walk per ordering takes
+    7 * 5,040 = 35,280, and the last draw, which always completes a
+    pair, is not walked. A chunk holds at most 498,960 orderings and
+    ``workers`` chunks run at once. The tally does not depend on
+    ``workers``.
     """
     _require_positive_int("workers", workers)
     _check_cap(

@@ -11,12 +11,16 @@ from sockpath import (
     MalformedInputError,
     PathValidityError,
     ResourceLimitError,
+    SockSequence,
     TupleValidityError,
     catalan,
     down_step_indices,
     dyck_paths,
     ktuple_of_path,
     path_of_ktuple,
+    permutation_count,
+    run_process,
+    tuple_probability,
     validate_ktuple,
 )
 
@@ -260,3 +264,26 @@ def test_catalan_matches_recurrence():
     for n in range(0, 15):
         assert catalan(n) == catalan_by_recurrence(n)
     assert catalan(14) == 2_674_440
+
+
+@pytest.mark.parametrize(
+    "call,arg",
+    [
+        (KTuple, None),
+        (KTuple, 5),
+        (DyckPath, None),
+        (SockSequence, None),
+        (run_process, [1, 2]),
+        (run_process, [(1, 0), (1, 1, 1)]),
+        (tuple_probability, None),
+        (permutation_count, None),
+        (validate_ktuple, None),
+        (path_of_ktuple, None),
+        (ktuple_of_path, None),
+        (down_step_indices, None),
+    ],
+)
+def test_non_iterable_or_ill_shaped_input_is_malformed(call, arg):
+    # Not a raw TypeError or ValueError from tuple() or from unpacking.
+    with pytest.raises(MalformedInputError):
+        call(arg)

@@ -93,6 +93,19 @@ class TestRunProcess:
         ids = np.array([[2 * (s.sock_type - 1) + s.side for s in draws]], dtype=np.int8)
         assert _decode_code(int(_path_codes(ids)[0])) == expected
 
+    @pytest.mark.parametrize("n,dtype", [(15, np.int32), (16, np.int64), (31, np.int64)])
+    def test_path_codes_across_the_dtype_switch(self, n, dtype):
+        # int32 state while the 2n-bit code fits 31 bits, int64 up to the
+        # 64-bit limit at n = 31
+        sock_ids = np.arange(2 * n, dtype=np.int8)
+        rng = np.random.default_rng(n)
+        ids = rng.permuted(np.broadcast_to(sock_ids, (300, 2 * n)), axis=1)
+        codes = _path_codes(ids)
+        assert codes.dtype == dtype
+        for row, code in zip(ids.tolist(), codes.tolist()):
+            draws = [(i // 2 + 1, i % 2) for i in row]
+            assert _decode_code(code) == run_process(draws).tuple
+
     @given(sock_orders(max_n=4))
     def test_first_appearance_relabeling(self, draws):
         # renaming pair types by order of first appearance keeps the path
@@ -242,6 +255,36 @@ class TestBruteForce:
         assert first[:2] == [tuple(range(13)), tuple(range(12)) + (13,)]
         assert len(first) == 99
         assert peak < 1_000_000
+
+    # the middle of n = 6's 960 blocks, and the first block of n = 10,
+    # where seen and code use the most bits of their int32 state
+    @pytest.mark.parametrize("n,index", [(6, 480), (10, 0)])
+    def test_full_blocks_match_the_plain_walk(self, monkeypatch, n, index):
+        tally, chunks = brute_force_chunks(monkeypatch, n, cap=n)
+        prefixes = next(itertools.islice(chunks, index, None))
+        table = np.array(list(itertools.permutations(range(7))), dtype=np.int8)
+        rest = np.array([sorted(set(range(2 * n)) - set(p)) for p in prefixes], np.int8)
+        rows = np.concatenate(
+            [
+                np.repeat(np.array(prefixes, np.int8), len(table), axis=0),
+                rest[:, table].reshape(-1, 7),
+            ],
+            axis=1,
+        )
+        assert rows.shape == (498_960, 2 * n)
+        assert tally(prefixes) == _tally_codes(_path_codes(rows))
+
+    def test_block_memory_is_bounded(self, monkeypatch):
+        # one n = 10 block walks 498,960 orderings of 20 draws
+        tally, chunks = brute_force_chunks(monkeypatch, 10, cap=10)
+        first = next(chunks)
+        tracemalloc.start()
+        try:
+            tally(first)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
 
     def test_cap_suggests_monte_carlo(self):
         with pytest.raises(ResourceLimitError) as exc:
