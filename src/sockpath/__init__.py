@@ -40,27 +40,11 @@ from .probability import (
     tuple_probability,
 )
 
-# The process names load on first use (PEP 562): ``process`` imports
-# numpy, which the exact-law commands never need.
-_PROCESS_NAMES = frozenset(
-    {
-        "DEFAULT_BRUTE_FORCE_CAP",
-        "DEFAULT_SIMULATION_CAP",
-        "ProcessTrace",
-        "SimComparison",
-        "SimulationReport",
-        "Sock",
-        "SockSequence",
-        "brute_force_counts",
-        "monte_carlo",
-        "random_permutation",
-        "run_process",
-    }
-)
 
-
+# The names of ``__all__`` not bound above come from ``process`` on first
+# use (PEP 562): it imports numpy, which the exact-law commands never need.
 def __getattr__(name: str):
-    if name in _PROCESS_NAMES:
+    if name in __all__:
         from . import process
 
         return getattr(process, name)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -83,13 +84,8 @@ def _decimal(num: int, den: int, precision: int) -> str:
     return f"{whole}.{frac:0{precision}d}"
 
 
-def format_fraction(value: Fraction) -> str:
-    """Lossless ``p/q`` string (plain integer when q = 1)."""
-    return str(value)
-
-
 def _ratio(num: int, den: int) -> str:
-    # format_fraction(Fraction(num, den)) without building the Fraction.
+    # str(Fraction(num, den)) without building the Fraction.
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -142,10 +138,6 @@ def _csv_writer(header: list[str]):
     return writer
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 # Streamed JSON reproduces json.dumps(indent=2) byte for byte: each row
 # object sits at depth 2 and each list in it puts one element per line
 # at depth 4. The strings filled in are digits, "/" and "." only, which
@@ -181,17 +173,14 @@ def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str
     208,012 rows of order 12), so each is rendered once.
     """
     denominator = math.factorial(2 * n)
-    memo: dict[int, tuple[str, str, str]] = {}
 
+    @functools.cache
     def texts(count: int) -> tuple[str, str, str]:
-        found = memo.get(count)
-        if found is None:
-            found = memo[count] = (
-                _ratio(count, denominator),
-                _decimal(count, denominator, precision),
-                str(count),
-            )
-        return found
+        return (
+            _ratio(count, denominator),
+            _decimal(count, denominator, precision),
+            str(count),
+        )
 
     return texts
 
@@ -266,7 +255,7 @@ def _cap_override(args: argparse.Namespace) -> int | None:
 def _cmd_prob(args: argparse.Namespace) -> int:
     t = parse_tuple_literal(args.tuple)
     p = tuple_probability(t)
-    print(f"{format_fraction(p)} ({format_decimal(p, args.precision)})")
+    print(f"{p} ({format_decimal(p, args.precision)})")
     return EXIT_OK
 
 
@@ -448,7 +437,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "rows": [
                 {
                     "height": h,
-                    "probability": format_fraction(p),
+                    "probability": str(p),
                     "probability_decimal": format_decimal(p, precision),
                 }
                 for h, p in law.items()
@@ -457,19 +446,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if args.what == "xk":
             payload["k"] = args.k
         for name, value in moments:
-            payload[name] = format_fraction(value)
+            payload[name] = str(value)
             payload[f"{name}_decimal"] = format_decimal(value, precision)
-        _emit_json(payload)
+        print(json.dumps(payload, indent=2))
     else:
-        rows = [
-            [str(h), format_fraction(p), format_decimal(p, precision)]
-            for h, p in law.items()
-        ]
-        rows.extend(
-            [name, format_fraction(value), format_decimal(value, precision)]
-            for name, value in moments
+        # the moments follow the heights as rows of the same shape
+        _csv_writer(["height", "probability", "probability_decimal"]).writerows(
+            [str(h), str(p), format_decimal(p, precision)]
+            for h, p in [*law.items(), *moments]
         )
-        _csv_writer(["height", "probability", "probability_decimal"]).writerows(rows)
     return EXIT_OK
 
 

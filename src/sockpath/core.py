@@ -260,9 +260,11 @@ def _check_cap(
     *,
     default: int = DEFAULT_ENUMERATION_CAP,
     cost: str | None = None,
+    ceiling: tuple[int, str] | None = None,
 ) -> None:
     # ``cost`` names the work the cap bounds; by default the Catalan(n)
-    # objects an enumeration visits.
+    # objects an enumeration visits. No cap lifts ``n`` past a ``ceiling``
+    # ``(limit, reason)``; it is checked second, so the cap error wins.
     limit = default if cap is None else cap
     _require_positive_int("n", n)
     if cap is not None:
@@ -276,9 +278,17 @@ def _check_cap(
         else:
             cost = f"cap {limit} of its {cost}"
         raise ResourceLimitError(
-            f"{what} for n = {n} exceeds the {cost}; pass a higher cap to override",
+            f"{what} for n = {n} exceeds the {cost}; "
+            "pass a higher cap= (--max-n in the CLI) to override",
             n=n,
             cap=limit,
+        )
+    if ceiling is not None and n > ceiling[0]:
+        top, reason = ceiling
+        raise ResourceLimitError(
+            f"{what} for n = {n} exceeds {top} pairs, a limit no cap lifts: {reason}",
+            n=n,
+            cap=top,
         )
 
 

@@ -82,17 +82,16 @@ def permutation_count(t: KTuple | Iterable[int]) -> int:
 def tuple_probability(t: KTuple | Iterable[int]) -> Fraction:
     """Exact probability that the process realizes ``t``.
 
-    ``2^n * n! * prod(k_i) / (2n)!`` in lowest terms for valid tuples;
+    ``permutation_count(t) / (2n)!`` in lowest terms for valid tuples;
     exactly 0 for well-formed tuples no Dyck path realizes (that zero is
     a modeled outcome, not an error). Malformed input raises
     :class:`MalformedInputError`.
     """
     k = KTuple(t)
-    if not validate_ktuple(k):
+    try:
+        return Fraction(permutation_count(k), math.factorial(2 * len(k)))
+    except TupleValidityError:
         return Fraction(0)
-    n = len(k)
-    num = (1 << n) * math.factorial(n) * math.prod(k)
-    return Fraction(num, math.factorial(2 * n))
 
 
 def enumerate_ktuples(n: int, *, cap: int | None = None) -> Iterator[KTuple]:

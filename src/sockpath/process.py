@@ -50,8 +50,15 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DyckPath, KTuple, _check_cap, _entries, _require_positive_int
-from .errors import MalformedInputError, ResourceLimitError
+from .core import (
+    DEFAULT_ENUMERATION_CAP,
+    DyckPath,
+    KTuple,
+    _check_cap,
+    _entries,
+    _require_positive_int,
+)
+from .errors import MalformedInputError
 from .probability import _count_rows
 
 __all__ = [
@@ -74,7 +81,7 @@ DEFAULT_BRUTE_FORCE_CAP = 5
 
 # Simulation reports list every tuple of the exact law, Catalan(n) rows,
 # so the cap matches the enumeration default.
-DEFAULT_SIMULATION_CAP = 14
+DEFAULT_SIMULATION_CAP = DEFAULT_ENUMERATION_CAP
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is
 # about 2.4e18 orderings, some 1,500 years at fifty million a second;
@@ -355,15 +362,9 @@ def brute_force_counts(
         cap,
         "brute force",
         default=DEFAULT_BRUTE_FORCE_CAP,
-        cost="(2n)! orderings (use monte_carlo for an empirical check)",
+        cost="(2n)! orderings (use monte_carlo or simulate for an empirical check)",
+        ceiling=(_MAX_WALKABLE_N, "too many orderings; use monte_carlo or simulate"),
     )
-    if n > _MAX_WALKABLE_N:
-        raise ResourceLimitError(
-            f"(2*{n})! orderings cannot be walked; brute force refuses "
-            f"n > {_MAX_WALKABLE_N} whatever the cap; use monte_carlo instead",
-            n=n,
-            cap=_MAX_WALKABLE_N,
-        )
 
     size = 2 * n
     m = min(_SUFFIX_LEN, size)
@@ -458,14 +459,10 @@ def _sampled_counts(
         raise MalformedInputError(
             f"seed must be an unsigned 64-bit integer, got {seed!r}"
         )
-    _check_cap(n, cap, "simulation comparison", default=DEFAULT_SIMULATION_CAP)
-    if n > _MAX_PATH_N:
-        raise ResourceLimitError(
-            f"simulation for n = {n} exceeds the {_MAX_PATH_N} pairs a 64-bit "
-            "path code holds",
-            n=n,
-            cap=_MAX_PATH_N,
-        )
+    _check_cap(
+        n, cap, "simulation comparison", default=DEFAULT_SIMULATION_CAP,
+        ceiling=(_MAX_PATH_N, "a run's path code must fit 64 bits"),
+    )
 
     sock_ids = np.arange(2 * n, dtype=np.int8)
 

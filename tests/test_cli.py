@@ -25,7 +25,6 @@ from sockpath.cli import (
     _resolve_workers,
     _stream_json,
     format_decimal,
-    format_fraction,
     main,
 )
 
@@ -82,7 +81,7 @@ def table_oracle(n: int, fmt: str, sort: str, precision: int) -> str:
         pairs.sort(key=lambda item: (-item[1], item[0]))
     rows = []
     for t, p in pairs:
-        exact, decimal = format_fraction(p), format_decimal(p, precision)
+        exact, decimal = str(p), format_decimal(p, precision)
         count = str(sockpath.permutation_count(t))
         if fmt == "json":
             rows.append({"tuple": list(t), "probability": exact,
@@ -104,16 +103,16 @@ def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) ->
             rows.append({
                 "tuple": list(t),
                 "count": report.empirical[t],
-                "frequency": format_fraction(row.frequency),
+                "frequency": str(row.frequency),
                 "frequency_decimal": format_decimal(row.frequency, precision),
-                "probability": format_fraction(row.probability),
+                "probability": str(row.probability),
                 "probability_decimal": format_decimal(row.probability, precision),
-                "abs_deviation": format_fraction(row.deviation),
+                "abs_deviation": str(row.deviation),
                 "abs_deviation_decimal": format_decimal(row.deviation, precision),
             })
         else:
-            rows.append([str(t), str(report.empirical[t]), format_fraction(row.frequency),
-                         format_fraction(row.probability),
+            rows.append([str(t), str(report.empirical[t]), str(row.frequency),
+                         str(row.probability),
                          format_decimal(row.deviation, precision)])
     if fmt == "csv":
         rows.append(["max_abs_deviation", "", "", "", format_decimal(max_dev, precision)])
@@ -121,7 +120,7 @@ def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) ->
         "seed": seed,
         "trials": trials,
         "precision": precision,
-        "max_abs_deviation": format_fraction(max_dev),
+        "max_abs_deviation": str(max_dev),
         "max_abs_deviation_decimal": format_decimal(max_dev, precision),
     }
     return _render(fmt, ["tuple", "count", "frequency", "probability", "abs_deviation"],
@@ -338,6 +337,18 @@ class TestVerify:
     def test_cap_exceeded_exit_3(self, cli):
         code, _, _ = cli("verify", "6")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (("verify", "6"), ("monte_carlo", "simulate", "--max-n")),
+            (("verify", "11", "--max-n", "11"), ("monte_carlo", "simulate")),
+        ],
+    )
+    def test_limit_messages_name_the_cli(self, cli, argv, names):
+        code, out, err = cli(*argv)
+        assert (code, out) == (3, "")
+        assert all(name in err for name in names), err
 
     @pytest.mark.parametrize(
         "moved,expected_line",
@@ -562,7 +573,6 @@ class TestLazyNumpy:
         # the package re-exports each module's __all__, and nothing else
         from sockpath import core, errors, probability
 
-        assert sockpath._PROCESS_NAMES == set(process.__all__)
         exceptions = {
             name for name, value in vars(errors).items()
             if isinstance(value, type) and issubclass(value, Exception)

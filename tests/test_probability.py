@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,20 @@ class TestMarginals:
         for k in range(1, 2 * n + 1):
             assert marginal_xk(n, k, cap=n).mean == Fraction(k * (2 * n - k), 2 * n - 1)
 
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_law_closed_form(self, n):
+        # After k draws with h socks on the table, j = (k - h)/2 pairs are
+        # complete: choose them, choose the h open pairs and the side drawn
+        # of each, then order the k socks.
+        for k in range(1, 2 * n + 1):
+            expected = {}
+            for h in range(k % 2, k + 1, 2):
+                j = (k - h) // 2
+                ways = math.comb(n, j) * math.comb(n - j, h) * 2**h * math.factorial(k)
+                if ways:
+                    expected[h] = Fraction(ways, math.perm(2 * n, k))
+            assert marginal_xk(n, k).law == expected
+
 
 class TestMaxDistribution:
     def test_small(self):
@@ -358,6 +373,30 @@ class TestMaxDistribution:
         law = max_distribution(n, cap=n)
         assert law[n] == Fraction(2**n * f(n) * f(n), f(2 * n))
         assert sum(law.values(), Fraction(0)) == 1
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_matches_hermite_histories(self, n):
+        # Each Dyck path of maximum at most m stands for prod(k) of the
+        # (2n - 1)!! perfect matchings of the socks' draw positions
+        # (Flajolet's Hermite histories): weigh a down-step from height h
+        # by h and an up-step by 1, and sum the paths below the ceiling.
+        def below(m):
+            weights = {0: 1}
+            for _ in range(2 * n):
+                step = Counter()
+                for h, w in weights.items():
+                    if h < m:
+                        step[h + 1] += w
+                    if h:
+                        step[h - 1] += w * h
+                weights = step
+            return weights[0]
+
+        matchings = math.prod(range(1, 2 * n, 2))
+        law = max_distribution(n)
+        for m in range(1, n + 1):
+            assert law[m] == Fraction(below(m) - below(m - 1), matchings), m
+        assert len(law) == n
 
     def test_cap(self):
         # the O(n^3) count has its own cap, past the enumeration cap

@@ -385,6 +385,29 @@ class TestMonteCarlo:
         freq = report.comparison[KTuple((2, 1))].frequency
         assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
 
+    def test_tile_shuffle_is_uniform_over_orderings(self, monkeypatch):
+        # The shuffle simulate runs: each of the 6! = 720 orderings at n = 3
+        # is expected 200 times in 144,000 rows; chi-square with df = 719.
+        # 607.4897 and 841.9052 are its 0.001 and 0.999 quantiles (frozen
+        # from the inverse CDF). Fixed seed keeps the test deterministic.
+        tiles = []
+
+        def spy(perm):
+            tiles.append(perm.copy())
+            return _path_codes(perm)
+
+        monkeypatch.setattr(process, "_path_codes", spy)
+        trials = 144_000
+        hits = process._sampled_counts(3, trials, 2024, workers=1, cap=None)
+        assert sum(hits.values()) == trials
+        rows = np.concatenate(tiles)
+        assert (np.sort(rows, axis=1) == np.arange(6)).all()
+        _, counts = np.unique(rows, axis=0, return_counts=True)
+        assert len(counts) == 720
+        expected = trials / 720
+        stat = float(((counts - expected) ** 2).sum() / expected)
+        assert 607.4897 < stat < 841.9052
+
     def test_max_law_n11(self):
         # the law of max(k) shares no code with the sampler; 5 standard
         # errors per height
