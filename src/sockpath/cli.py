@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -185,15 +186,23 @@ def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str
     return texts
 
 
+# Separator of the elements of a row's list.
+_JSON_ITEM_SEPARATOR = ",\n        "
+
+
 def _json_items(n: int) -> Callable[[Iterable[int]], str]:
     """Renderer of the elements of a row's list whose entries lie in ``0..n``."""
     digits = [str(v) for v in range(n + 1)]
-    separator = ",\n        "
 
     def render(values: Iterable[int]) -> str:
-        return separator.join([digits[v] for v in values])
+        return _JSON_ITEM_SEPARATOR.join([digits[v] for v in values])
 
     return render
+
+
+def _json_tuple(text: str) -> str:
+    """The elements of a row's tuple list, from the tuple's text ``(k_1,...,k_n)``."""
+    return text[1:-1].replace(",", _JSON_ITEM_SEPARATOR)
 
 
 def _stream_json(
@@ -236,9 +245,16 @@ def _resolve_workers() -> int:
     return (os.cpu_count() or 1) if value == 0 else value
 
 
-def _cap_override(args: argparse.Namespace) -> int | None:
+def _cap_override(args: argparse.Namespace, ceiling: int | None = None) -> int | None:
+    """The ``--max-n`` cap, announced with a cost warning.
+
+    No warning is printed when ``n`` exceeds the engine's ``ceiling``, a
+    limit no cap lifts: that run is refused, not costly.
+    """
     if args.max_n is None:
         return None
+    if ceiling is not None and args.n > ceiling:
+        return args.max_n
     print(
         f"warning: caps overridden to n <= {args.max_n}; costs grow like "
         "Catalan(n) for table and simulate, (2n)! for verify, and n^2 or n^3 "
@@ -262,37 +278,46 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Write the table row by row from the lexicographic row generator.
 
-    Each valid tuple comes with its integer ordering count, so a row is
-    rendered from integers over the shared denominator ``(2n)!`` and
-    written at once. JSON paths come from the walk of ``dyck_paths``,
-    which steps the same odometer as the rows, so each path arrives with
-    its tuple. ``--sort prob`` holds only
-    ``(-count, tuple)`` pairs, sorts them, then renders, rebuilding each
-    path from its tuple.
+    Each valid tuple comes with its integer ordering count and its text,
+    so a row is rendered from integers over the shared denominator
+    ``(2n)!`` and the generator's text (the CSV cell, and the JSON tuple
+    list once its commas are spaced out), and written at once. JSON paths
+    come from the walk of ``dyck_paths``, which steps the same odometer
+    as the rows, so each path arrives with its tuple. ``--sort prob``
+    holds one pair per row, sorts them, then renders: ``(text, count)``
+    for CSV, and ``(-count, tuple)`` for JSON, which lists the tuple's
+    entries and rebuilds its path from it.
     """
     n = args.n
     _check_cap(n, _cap_override(args), "distribution table")
     texts = _probability_texts(n, args.precision)
-    rows: Iterable[tuple[KTuple, int]] = _count_rows(n)
-    paths: Iterable[DyckPath] = _dyck_paths_iter(n)
-    if args.sort == "prob":
-        # highest probability first; ties broken lexicographically
-        order = sorted((-count, t) for t, count in rows)
-        rows = ((t, -neg) for neg, t in order)
-        paths = (_climb(t) for _, t in order)
+    rows = _count_rows(n)
     if args.format == "json":
         json_items = _json_items(n)
+        if args.sort == "prob":
+            # highest probability first; ties broken lexicographically
+            order = sorted((-count, t) for t, count, _ in rows)
+            lines = (
+                _TABLE_ROW_JSON % (json_items(t), *texts(-neg), json_items(_climb(t)))
+                for neg, t in order
+            )
+        else:
+            lines = (
+                _TABLE_ROW_JSON % (_json_tuple(text), *texts(count), json_items(path))
+                for (_, count, text), path in zip(rows, _dyck_paths_iter(n))
+            )
         _stream_json(
-            {"n": n, "generator": "exact"},
-            (
-                _TABLE_ROW_JSON % (json_items(t), *texts(count), json_items(path))
-                for (t, count), path in zip(rows, paths)
-            ),
-            lambda: {"precision": args.precision},
+            {"n": n, "generator": "exact"}, lines, lambda: {"precision": args.precision}
         )
     else:
+        pairs: Iterable[tuple[str, int]] = ((text, count) for _, count, text in rows)
+        if args.sort == "prob":
+            # Highest probability first. The sort is stable, also in
+            # reverse, so ties keep the generator's lexicographic order,
+            # which the texts alone would not give: "(10," < "(2,".
+            pairs = sorted(pairs, key=operator.itemgetter(1), reverse=True)
         _csv_writer(["tuple", "probability", "probability_decimal", "count"]).writerows(
-            (str(t), *texts(count)) for t, count in rows
+            (text, *texts(count)) for text, count in pairs
         )
     return EXIT_OK
 
@@ -314,16 +339,17 @@ def _cmd_ktuple(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .process import brute_force_counts  # numpy loads only for sampling commands
+    # numpy loads only for sampling commands
+    from .process import _MAX_WALKABLE_N, brute_force_counts
 
-    cap = _cap_override(args)
+    cap = _cap_override(args, _MAX_WALKABLE_N)
     counts = brute_force_counts(args.n, cap=cap, workers=_resolve_workers())
     total = sum(counts.values())
     expected_total = math.factorial(2 * args.n)
     failures = 0
     # Every valid tuple is checked, tallied or not, and so is every
     # tallied tuple, valid or not (no ordering realizes an invalid one).
-    expected = dict(_count_rows(args.n))
+    expected = {t: count for t, count, _ in _count_rows(args.n)}
     checked = sorted(expected.keys() | counts.keys())
     for t in checked:
         tally, want = counts.get(t, 0), expected.get(t, 0)
@@ -344,49 +370,64 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     """Write each tuple's sampled count beside its exact law, row by row.
 
     The sampled tally holds only the tuples hit; the lexicographic row
-    generator supplies the rest with a count of zero. Every deviation
-    ``|hits/trials - count/(2n)!|`` is one integer numerator over
-    ``trials * (2n)!``, so the running maximum is exact and is written
-    after the rows.
+    generator supplies the rest with a count of zero, and each row's
+    text. Every deviation ``|hits/trials - count/(2n)!|`` is one integer
+    numerator over ``trials * (2n)!``, so the running maximum is exact
+    and is written after the rows. The cells after the tuple of a row no
+    trial hit depend on its ordering count alone, so they are rendered
+    once per distinct count. Hit rows are rendered one by one, so both
+    memos, keyed by count, stay as small as the set of distinct products
+    (808 at n = 12), not Catalan(n).
     """
-    from .process import _sampled_counts  # numpy loads only for sampling commands
+    # numpy loads only for sampling commands
+    from .process import _MAX_PATH_N, _sampled_counts
 
     n, trials, seed, precision = args.n, args.trials, args.seed, args.precision
     hits = _sampled_counts(
-        n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args)
+        n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args, _MAX_PATH_N)
     )
     texts = _probability_texts(n, precision)
     denominator = math.factorial(2 * n)
     scale = trials * denominator
     worst = 0
 
-    def compared() -> Iterator[tuple[KTuple, int, str, str, int]]:
+    # The cells after a row's tuple, from its hits, the numerator of its
+    # deviation and the texts of its exact probability.
+    if args.format == "json":
+
+        def cells(hit: int, deviation: int, exact: tuple[str, str, str]) -> tuple:
+            return (
+                hit,
+                _ratio(hit, trials),
+                _decimal(hit, trials, precision),
+                *exact[:2],
+                _ratio(deviation, scale),
+                _decimal(deviation, scale, precision),
+            )
+
+    else:
+
+        def cells(hit: int, deviation: int, exact: tuple[str, str, str]) -> tuple:
+            return hit, _ratio(hit, trials), exact[0], _decimal(deviation, scale, precision)
+
+    # A missed row's exact texts come from the uncached renderer, so
+    # that texts caches only the counts of rows some trial hit.
+    missed = functools.cache(
+        lambda count: cells(0, count * trials, texts.__wrapped__(count))
+    )
+
+    def compared() -> Iterator[tuple[str, tuple]]:
         nonlocal worst
-        for t, count in _count_rows(n):
+        for t, count, text in _count_rows(n):
             hit = hits.get(t, 0)
-            exact, decimal, _ = texts(count)
             deviation = abs(hit * denominator - count * trials)
             worst = max(worst, deviation)
-            yield t, hit, exact, decimal, deviation
+            yield text, (cells(hit, deviation, texts(count)) if hit else missed(count))
 
     if args.format == "json":
-        json_items = _json_items(n)
         _stream_json(
             {"n": n, "generator": "simulation"},
-            (
-                _SIMULATE_ROW_JSON
-                % (
-                    json_items(t),
-                    hit,
-                    _ratio(hit, trials),
-                    _decimal(hit, trials, precision),
-                    exact,
-                    decimal,
-                    _ratio(deviation, scale),
-                    _decimal(deviation, scale, precision),
-                )
-                for t, hit, exact, decimal, deviation in compared()
-            ),
+            (_SIMULATE_ROW_JSON % (_json_tuple(text), *rest) for text, rest in compared()),
             lambda: {
                 "seed": seed,
                 "trials": trials,
@@ -399,16 +440,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         writer = _csv_writer(
             ["tuple", "count", "frequency", "probability", "abs_deviation"]
         )
-        writer.writerows(
-            (
-                str(t),
-                hit,
-                _ratio(hit, trials),
-                exact,
-                _decimal(deviation, scale, precision),
-            )
-            for t, hit, exact, _, deviation in compared()
-        )
+        writer.writerows((text, *rest) for text, rest in compared())
         writer.writerow(
             ["max_abs_deviation", "", "", "", _decimal(worst, scale, precision)]
         )
@@ -597,6 +629,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     """Console-script entry point."""
+    # No command calls BLAS, yet numpy's OpenBLAS starts a thread per CPU
+    # on import; one thread is enough. A value set by the user still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # machine outputs are UTF-8 regardless of locale
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")

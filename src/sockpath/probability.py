@@ -12,11 +12,11 @@ probability zero.
 
 Whole tables come from one row generator: the odometer of
 :mod:`sockpath.core` steps through the valid tuples in lexicographic
-order, and each row carries the tuple's integer ordering count built
-from the odometer's state, with no row validated again. Rows carry no
-paths: :func:`~sockpath.core.dyck_paths` steps the same odometer, and
-the tuple-to-path bijection keeps lexicographic order, so its walk
-meets the paths in the rows' order. Every row shares the denominator
+order, and each row carries the tuple's integer ordering count and its
+text, both built from the odometer's state, with no row validated
+again. Rows carry no paths: :func:`~sockpath.core.dyck_paths` steps the
+same odometer, and the tuple-to-path bijection keeps lexicographic
+order, so its walk meets the paths in the rows' order. Every row shares the denominator
 ``(2n)!``, so nothing needs a Fraction until the API boundary:
 :func:`full_distribution` and the Monte Carlo report build them there,
 while the CLI streams rows straight from the integers.
@@ -115,24 +115,31 @@ def _ktuples_iter(n: int) -> Iterator[KTuple]:
         yield trusted(tuple(k))
 
 
-def _count_rows(n: int) -> Iterator[tuple[KTuple, int]]:
-    """Every valid tuple of order ``n`` with its ordering count, lexicographically.
+def _count_rows(n: int) -> Iterator[tuple[KTuple, int, str]]:
+    """Every valid tuple of order ``n`` with its ordering count and text, lexicographically.
 
-    Yields ``(t, 2^n * n! * prod(t))``. Products are kept per prefix, so
-    a step recomputes only what follows the first entry the odometer
-    changed; no row is validated again. Paths are not built here: the
-    tuple-to-path bijection keeps lexicographic order, so the rows pair
-    one to one with the paths of :func:`~sockpath.core.dyck_paths`.
-    Callers check caps.
+    Yields ``(t, 2^n * n! * prod(t), str(t))``. Products and text are
+    kept per prefix, so a step recomputes only what follows the first
+    entry the odometer changed; no row is validated again. Paths are not
+    built here: the tuple-to-path bijection keeps lexicographic order, so
+    the rows pair one to one with the paths of
+    :func:`~sockpath.core.dyck_paths`. Callers check caps.
     """
     k = [1] * n
-    # prods[j] = 2^n * n! * k_1 * ... * k_j
-    prods = [(1 << n) * math.factorial(n)] * (n + 1)
+    # prods[j] = 2^n * n! * k_1 * ... * k_j and heads[j] = "(k_1,...,k_j,"
+    # for the prefixes before the last entry
+    prods = [(1 << n) * math.factorial(n)] * n
+    heads = ["("] * n
+    # entries lie in 1..n, two digits from n = 10 on
+    digits = [str(v) for v in range(n + 1)]
+    inner = [d + "," for d in digits]
+    last = [d + ")" for d in digits]
     ktuple = KTuple._trusted
     for i in _odometer(k):
-        for j in range(i, n):
+        for j in range(i, n - 1):
             prods[j + 1] = prods[j] * k[j]
-        yield ktuple(k), prods[n]
+            heads[j + 1] = heads[j] + inner[k[j]]
+        yield ktuple(k), prods[-1] * k[-1], heads[-1] + last[k[-1]]
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     """
     _check_cap(n, cap, "distribution table")
     denominator = math.factorial(2 * n)
-    entries = {t: Fraction(c, denominator) for t, c in _count_rows(n)}
+    entries = {t: Fraction(c, denominator) for t, c, _ in _count_rows(n)}
     return DistributionTable(n=n, entries=entries)
 
 

@@ -433,7 +433,7 @@ def monte_carlo(
     denominator = math.factorial(2 * n)
     empirical = {}
     comparison = {}
-    for t, count in _count_rows(n):
+    for t, count, _ in _count_rows(n):
         empirical[t] = hits.get(t, 0)
         freq = Fraction(empirical[t], trials)
         p = Fraction(count, denominator)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import sockpath
 from sockpath import KTuple, process
+from sockpath.probability import _count_rows
 from sockpath.cli import (
     _SIMULATE_ROW_JSON,
     _TABLE_ROW_JSON,
@@ -94,26 +95,29 @@ def table_oracle(n: int, fmt: str, sort: str, precision: int) -> str:
 
 
 def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) -> str:
-    """``simulate`` output rendered from a ``monte_carlo`` report."""
-    report = sockpath.monte_carlo(n, trials, seed)
-    max_dev = report.max_abs_deviation
+    """``simulate`` output rendered from per-row Fractions and a report's hit counts."""
+    hits = sockpath.monte_carlo(n, trials, seed).empirical
     rows = []
-    for t, row in report.comparison.items():
+    deviations = []
+    for t in sockpath.enumerate_ktuples(n):
+        freq, prob = Fraction(hits[t], trials), sockpath.tuple_probability(t)
+        deviation = abs(freq - prob)
+        deviations.append(deviation)
         if fmt == "json":
             rows.append({
                 "tuple": list(t),
-                "count": report.empirical[t],
-                "frequency": str(row.frequency),
-                "frequency_decimal": format_decimal(row.frequency, precision),
-                "probability": str(row.probability),
-                "probability_decimal": format_decimal(row.probability, precision),
-                "abs_deviation": str(row.deviation),
-                "abs_deviation_decimal": format_decimal(row.deviation, precision),
+                "count": hits[t],
+                "frequency": str(freq),
+                "frequency_decimal": format_decimal(freq, precision),
+                "probability": str(prob),
+                "probability_decimal": format_decimal(prob, precision),
+                "abs_deviation": str(deviation),
+                "abs_deviation_decimal": format_decimal(deviation, precision),
             })
         else:
-            rows.append([str(t), str(report.empirical[t]), str(row.frequency),
-                         str(row.probability),
-                         format_decimal(row.deviation, precision)])
+            rows.append([str(t), str(hits[t]), str(freq), str(prob),
+                         format_decimal(deviation, precision)])
+    max_dev = max(deviations)
     if fmt == "csv":
         rows.append(["max_abs_deviation", "", "", "", format_decimal(max_dev, precision)])
     metadata = {
@@ -218,6 +222,13 @@ class TestTable:
         rows = out.splitlines()
         assert rows[1].startswith('"(2,1)"')
         assert rows[2].startswith('"(1,1)"')
+
+    def test_sort_by_probability_past_one_digit_entries(self, cli):
+        # From n = 11 on, tied tuples with an entry of 10 or more sort
+        # differently as text: (10,... comes before (2,...
+        code, out, _ = cli("table", "11", "--sort", "prob")
+        assert code == 0
+        assert out == table_oracle(11, "csv", "prob", 6)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_probability_column_reparsed_sums_to_one(self, cli, n):
@@ -425,6 +436,111 @@ class TestSimulate:
     def test_bad_trials(self, cli):
         code, _, _ = cli("simulate", "2", "--trials", "0")
         assert code == 2
+
+    def test_max_deviation_counts_missed_rows(self, cli, monkeypatch):
+        # A tally whose largest deviation is on the row no trial hit:
+        # (3,2,1), of probability 2/5; the others deviate by 2/15 or 0.
+        tally = {KTuple((1, 1, 1)): 3, KTuple((2, 1, 1)): 4,
+                 KTuple((1, 2, 1)): 4, KTuple((2, 2, 1)): 4}
+        monkeypatch.setattr(process, "_sampled_counts", lambda *args, **kwargs: tally)
+        code, out, _ = cli("simulate", "3", "--trials", "15", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,trials,all_hit", [(9, 200, False), (4, 100_000, True)])
+    def test_missed_and_hit_rows_match_fractions(self, cli, n, trials, all_hit, fmt):
+        # Rows no trial hit are rendered once per distinct count, hit rows
+        # one by one: one run mostly of the first kind, one of the second.
+        hits = sockpath.monte_carlo(n, trials, 11).empirical
+        missed = sum(1 for count in hits.values() if count == 0)
+        assert (missed == 0) == all_hit and missed < len(hits)
+        code, out, _ = cli("simulate", str(n), "--trials", str(trials), "--seed", "11",
+                           "--format", fmt)
+        assert code == 0
+        assert out == simulate_oracle(n, trials, 11, fmt, 6)
+
+
+class TestCapOverrideWarning:
+    WARNING = "warning: caps overridden"
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "11", "--max-n", "11"), ("simulate", "32", "--max-n", "40")]
+    )
+    def test_no_warning_past_the_ceiling(self, cli, argv):
+        # no cap lifts these runs, so there is no cost to warn of
+        code, out, err = cli(*argv)
+        assert (code, out) == (3, "")
+        assert self.WARNING not in err
+        assert "a limit no cap lifts" in err
+
+    def test_accepted_runs_warn(self, cli, monkeypatch):
+        # the exact counts stand in for the 12! orderings' walk
+        monkeypatch.setattr(
+            process, "brute_force_counts",
+            lambda n, **_: {t: c for t, c, _ in _count_rows(n)},
+        )
+        code, _, err = cli("verify", "6", "--max-n", "6")
+        assert code == 0
+        assert err.startswith(self.WARNING)
+        code, _, err = cli("simulate", "2", "--trials", "10", "--max-n", "3")
+        assert code == 0
+        assert err.startswith(self.WARNING)
+
+
+class TestOpenBlasThreads:
+    NAME = "OPENBLAS_NUM_THREADS"
+
+    @pytest.fixture
+    def unset(self, monkeypatch):
+        # set first, so that undoing the deletion also undoes what the
+        # code under test sets
+        monkeypatch.setenv(self.NAME, "")
+        monkeypatch.delenv(self.NAME)
+
+    def _run_sees(self, monkeypatch) -> str | None:
+        seen = []
+        monkeypatch.setattr(sys, "argv", ["sockpath", "prob", "1"])
+        monkeypatch.setattr(
+            sockpath.cli, "main", lambda: seen.append(os.environ.get(self.NAME)) or 0
+        )
+        with pytest.raises(SystemExit) as exc:
+            sockpath.cli.run()
+        assert exc.value.code == 0
+        return seen[0]
+
+    def test_run_defaults_to_one_thread(self, monkeypatch, unset):
+        assert self._run_sees(monkeypatch) == "1"
+
+    def test_run_keeps_the_users_value(self, monkeypatch):
+        monkeypatch.setenv(self.NAME, "4")
+        assert self._run_sees(monkeypatch) == "4"
+
+    def test_main_leaves_the_environment_alone(self, cli, unset):
+        before = dict(os.environ)
+        for argv in (("verify", "2"), ("simulate", "2", "--trials", "10"), ("table", "2")):
+            assert cli(*argv)[0] == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "5"), ("simulate", "5", "--trials", "100000", "--seed", "7")]
+    )
+    def test_thread_count_does_not_change_output(self, argv):
+        src = Path(sockpath.__file__).resolve().parent.parent
+        outputs = []
+        for threads in (None, "1", "4"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in (self.NAME, "SOCKPATH_THREADS")}
+            env["PYTHONPATH"] = str(src)
+            if threads is not None:
+                env[self.NAME] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", "from sockpath.cli import run; run()", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestStats:

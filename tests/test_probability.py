@@ -240,18 +240,24 @@ class TestCountRows:
         # the generator's products, paired with the path walk, against
         # the validating versions
         rows = list(zip(_count_rows(n), dyck_paths(n), strict=True))
-        assert [t for (t, _), _ in rows] == list(enumerate_ktuples(n))
-        for (t, count), path in rows:
+        assert [t for (t, _, _), _ in rows] == list(enumerate_ktuples(n))
+        for (t, count, _), path in rows:
             assert type(t) is KTuple and type(path) is DyckPath
             assert count == permutation_count(t)
             assert path == path_of_ktuple(t)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_text_is_str_of_tuple(self, n):
+        # entries reach 10 from n = 10 on
+        texts = [text for *_, text in _count_rows(n)]
+        assert texts == [str(t) for t in enumerate_ktuples(n)]
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_counts_meet_closed_forms(self, n):
         # (2n)! orderings in all; sum over tuples of prod(k_i) = (2n - 1)!!,
         # the number of perfect matchings of 2n draw positions
         orderings = products = rows = 0
-        for t, count in _count_rows(n):
+        for t, count, _ in _count_rows(n):
             orderings += count
             products += math.prod(t)
             rows += 1
