@@ -480,6 +480,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for name, value in moments:
             payload[name] = str(value)
             payload[f"{name}_decimal"] = format_decimal(value, precision)
+        payload["metadata"] = {"precision": precision}
         print(json.dumps(payload, indent=2))
     else:
         # the moments follow the heights as rows of the same shape

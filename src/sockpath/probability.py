@@ -10,13 +10,16 @@ orderings of the ``2n`` distinguishable socks, so its probability is
 ``2^n * n! * prod(k_i) / (2n)!``. Tuples no Dyck path realizes have
 probability zero.
 
-Whole tables come from one row generator: the odometer of
-:mod:`sockpath.core` steps through the valid tuples in lexicographic
-order, and each row carries the tuple's integer ordering count and its
-text, both built from the odometer's state, with no row validated
-again. Rows carry no paths: :func:`~sockpath.core.dyck_paths` steps the
-same odometer, and the tuple-to-path bijection keeps lexicographic
-order, so its walk meets the paths in the rows' order. Every row shares the denominator
+Whole tables come from one row generator, in lexicographic order. The
+odometer of :mod:`sockpath.core` steps only each tuple's prefix, all
+but its last ``min(6, n)`` entries; a table of those tails, built once
+per call, fills in the rest, a whole block of rows per step. Each row
+carries the tuple's integer ordering count and its text, joined from a
+prefix part kept with the odometer's state and a tail part kept in the
+table, with no row validated again. Rows carry no paths:
+:func:`~sockpath.core.dyck_paths` walks the same prefixes and tails,
+and the tuple-to-path bijection keeps lexicographic order, so its walk
+meets the paths in the rows' order. Every row shares the denominator
 ``(2n)!``, so nothing needs a Fraction until the API boundary:
 :func:`full_distribution` and the Monte Carlo report build them there,
 while the CLI streams rows straight from the integers.
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import KTuple, _check_cap, _odometer, validate_ktuple
+from .core import KTuple, _check_cap, _odometer, _tail_blocks, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -100,46 +103,59 @@ def enumerate_ktuples(n: int, *, cap: int | None = None) -> Iterator[KTuple]:
     Recursion bounds: ``k_1`` ranges over ``1..n``; given ``k_i``, the
     next entry ranges over ``max(1, k_i - 1) .. n - i`` (at most ``n - i``
     pairs are still open after the ``i``-th completion); the final entry
-    is forced to 1. Implemented iteratively as an odometer: bump the
-    rightmost entry below its bound, refill the suffix with minimal
-    values. Count equals ``catalan(n)``.
+    is forced to 1. Implemented iteratively as an odometer over all but
+    the last ``min(6, n)`` entries (bump the rightmost entry below its
+    bound, refill the rest with minimal values), each prefix followed by
+    the valid tails of that order whose first entry is at least
+    ``max(1, v - 1)`` for the prefix's last entry ``v``. Count equals
+    ``catalan(n)``.
     """
     _check_cap(n, cap, "tuple enumeration")
     return _ktuples_iter(n)
 
 
 def _ktuples_iter(n: int) -> Iterator[KTuple]:
-    k = [1] * n
+    prefix, blocks = _tail_blocks(n, lambda a, v: a)
+    k = [1] * prefix
     trusted = KTuple._trusted
-    for _ in _odometer(k):
-        yield trusted(tuple(k))
+    for _ in _odometer(k, n):
+        head = tuple(k)
+        yield from [trusted(head + a) for a in blocks[k[-1] if k else 1]]
 
 
 def _count_rows(n: int) -> Iterator[tuple[KTuple, int, str]]:
     """Every valid tuple of order ``n`` with its ordering count and text, lexicographically.
 
-    Yields ``(t, 2^n * n! * prod(t), str(t))``. Products and text are
-    kept per prefix, so a step recomputes only what follows the first
-    entry the odometer changed; no row is validated again. Paths are not
-    built here: the tuple-to-path bijection keeps lexicographic order, so
-    the rows pair one to one with the paths of
-    :func:`~sockpath.core.dyck_paths`. Callers check caps.
+    Yields ``(t, 2^n * n! * prod(t), str(t))``. The odometer steps each
+    tuple's prefix and keeps its product and text per entry, so a step
+    recomputes only what follows the first entry it changed. The
+    prefix's block of tails from :func:`~sockpath.core._tail_blocks`,
+    each with its product and text made once per call, then completes a
+    whole block of rows with one multiplication and one concatenation
+    per row. No row is validated again. Paths are not built here:
+    the tuple-to-path bijection keeps lexicographic order, so the rows
+    pair one to one with the paths of :func:`~sockpath.core.dyck_paths`.
+    Callers check caps.
     """
-    k = [1] * n
+    prefix, blocks = _tail_blocks(
+        n, lambda a, v: (a, math.prod(a), ",".join(map(str, a)) + ")")
+    )
+    k = [1] * prefix
     # prods[j] = 2^n * n! * k_1 * ... * k_j and heads[j] = "(k_1,...,k_j,"
-    # for the prefixes before the last entry
-    prods = [(1 << n) * math.factorial(n)] * n
-    heads = ["("] * n
+    prods = [(1 << n) * math.factorial(n)] * (prefix + 1)
+    heads = ["("] * (prefix + 1)
     # entries lie in 1..n, two digits from n = 10 on
-    digits = [str(v) for v in range(n + 1)]
-    inner = [d + "," for d in digits]
-    last = [d + ")" for d in digits]
+    inner = [f"{v}," for v in range(n + 1)]
     ktuple = KTuple._trusted
-    for i in _odometer(k):
-        for j in range(i, n - 1):
+    for i in _odometer(k, n):
+        for j in range(i, prefix):
             prods[j + 1] = prods[j] * k[j]
             heads[j + 1] = heads[j] + inner[k[j]]
-        yield ktuple(k), prods[-1] * k[-1], heads[-1] + last[k[-1]]
+        pre, product, head = tuple(k), prods[-1], heads[-1]
+        yield from [
+            (ktuple(pre + a), product * c, head + text)
+            for a, c, text in blocks[k[-1] if k else 1]
+        ]
 
 
 @dataclass(frozen=True)

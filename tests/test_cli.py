@@ -579,6 +579,20 @@ class TestStats:
         law = {row["height"]: row["probability"] for row in payload["rows"]}
         assert law == {0: "1/3", 2: "2/3"}
 
+    @pytest.mark.parametrize(
+        "argv", [("--what", "xk", "--k", "2"), ("--what", "max", "--precision", "3")]
+    )
+    def test_json_records_precision_last(self, cli, argv):
+        # as table and simulate do, so a consumer knows the digits of
+        # every *_decimal field without counting them
+        code, out, _ = cli("stats", "2", *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        precision = 3 if "--precision" in argv else 6
+        assert list(payload)[-1] == "metadata"
+        assert payload["metadata"] == {"precision": precision}
+        assert len(payload["rows"][0]["probability_decimal"]) == precision + 2
+
     def test_missing_k_is_usage_error(self, cli):
         code, _, err = cli("stats", "2", "--what", "xk")
         assert code == 2

@@ -23,6 +23,7 @@ from sockpath import (
     tuple_probability,
     validate_ktuple,
 )
+from sockpath.core import _odometer
 
 from conftest import dyck_path_heights, valid_ktuples
 
@@ -258,6 +259,30 @@ class TestDyckPathsGenerator:
     def test_rejects_bad_n(self):
         with pytest.raises(MalformedInputError):
             dyck_paths(0)
+
+
+class TestOdometer:
+    @pytest.mark.parametrize("top", range(1, 8))
+    def test_prefixes_once_in_order_with_first_changed_index(self, top):
+        # valid tuples straight from the rule, among all tuples of 1..top
+        valid = [
+            t
+            for t in itertools.product(range(1, top + 1), repeat=top)
+            if t[-1] == 1 and all(b >= a - 1 for a, b in zip(t, t[1:]))
+        ]
+        for size in range(top + 1):
+            want = sorted({t[:size] for t in valid})
+            k = [1] * size
+            got, reported = [], []
+            for i in _odometer(k, top):
+                reported.append(i)
+                got.append(tuple(k))
+            assert got == want
+            changed = [
+                next(j for j in range(size) if p[j] != q[j])
+                for p, q in zip(want, want[1:])
+            ]
+            assert reported == [0, *changed]
 
 
 def test_catalan_matches_recurrence():

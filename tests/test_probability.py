@@ -28,6 +28,7 @@ from sockpath import (
     tuple_probability,
     validate_ktuple,
 )
+from sockpath import core
 from sockpath.probability import _count_rows
 
 from conftest import valid_ktuples
@@ -264,6 +265,66 @@ class TestCountRows:
         assert rows == catalan(n)
         assert orderings == math.factorial(2 * n)
         assert products == math.prod(range(1, 2 * n, 2))
+
+
+def valid_by_rule(n: int) -> list[tuple]:
+    """Valid tuples of order n, lexicographically, from the rule alone.
+
+    Entry k_{i+1} >= k_i - 1 and k_n = 1; since each step drops by at
+    most one, an entry above the steps left plus one can never reach 1.
+    """
+    found = []
+
+    def extend(t: tuple) -> None:
+        if len(t) == n:
+            if t[-1] == 1:
+                found.append(t)
+            return
+        low = max(1, t[-1] - 1) if t else 1
+        for v in range(low, n - len(t) + 1):
+            extend((*t, v))
+
+    extend(())
+    return found
+
+
+def path_by_rule(t: tuple) -> tuple:
+    # rise to each completion height, then take its down-step
+    x, h = [], 0
+    for k in t:
+        x.extend(range(h + 1, k + 1))
+        h = k - 1
+        x.append(h)
+    return tuple(x)
+
+
+class TestTailSeam:
+    # Rows and paths join a prefix stepped by the odometer to a tail from
+    # the table of order min(core._TAIL, n); forcing every tail length
+    # puts the seam at every position.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_tail_length(self, n, monkeypatch):
+        tuples = valid_by_rule(n)
+        prefactor = (1 << n) * math.factorial(n)
+        rows = [
+            (t, prefactor * math.prod(t), "(" + ",".join(map(str, t)) + ")")
+            for t in tuples
+        ]
+        paths = [path_by_rule(t) for t in tuples]
+        for size in range(1, min(n, core._TAIL) + 1):
+            monkeypatch.setattr(core, "_TAIL", size)
+            prefix = n - size
+            # the prefix is empty, or it ends in every v from 1 to size + 1
+            if prefix:
+                assert {t[prefix - 1] for t in tuples} == set(range(1, size + 2))
+            # compared as they stream, since lists of a whole table make
+            # the collector walk them again and again
+            for got, want in zip(_count_rows(n), rows, strict=True):
+                assert got == want and tuple(map(type, got)) == (KTuple, int, str)
+            for got, want in zip(dyck_paths(n), paths, strict=True):
+                assert got == want and type(got) is DyckPath
+            for got, want in zip(enumerate_ktuples(n), tuples, strict=True):
+                assert got == want and type(got) is KTuple
 
 
 class TestMarginals:
