@@ -7,7 +7,11 @@ endings; the JSON schema is documented in docs/output-schema.md with a
 golden example.
 
 ``table`` and ``simulate`` write each row as soon as it is produced, so
-a consumer that closes the pipe early stops the command.
+a consumer that closes the pipe early stops the command. A row is a
+ready line joined from fragments rendered once per call: the text of
+each tuple prefix the odometer steps, of each tail in its table, and of
+each distinct ordering count. The lines are byte for byte what
+``csv.writer`` and ``json.dumps(indent=2)`` would write.
 
 Exit codes are stable across subcommands: 0 success, 1 failed
 verification, 2 usage or parse error, 3 resource cap exceeded, 4 domain
@@ -27,15 +31,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    DyckPath,
-    KTuple,
-    _check_cap,
-    _climb,
-    _dyck_paths_iter,
-    ktuple_of_path,
-    path_of_ktuple,
-)
+from .core import DyckPath, KTuple, _check_cap, ktuple_of_path, path_of_ktuple
 from .errors import (
     MalformedInputError,
     ResourceLimitError,
@@ -44,6 +40,7 @@ from .errors import (
 )
 from .probability import (
     _count_rows,
+    _row_walk,
     marginal_xk,
     max_distribution,
     tuple_probability,
@@ -141,21 +138,25 @@ def _csv_writer(header: list[str]):
 
 # Streamed JSON reproduces json.dumps(indent=2) byte for byte: each row
 # object sits at depth 2 and each list in it puts one element per line
-# at depth 4. The strings filled in are digits, "/" and "." only, which
-# JSON never escapes.
-_TABLE_ROW_JSON = (
-    '    {\n'
-    '      "tuple": [\n        %s\n      ],\n'
+# at depth 4. A row is _JSON_ROW_OPEN, the tuple's elements joined by
+# _JSON_ITEM, then its cells: for table, _JSON_TABLE_CELLS, the path's
+# elements and _JSON_ROW_CLOSE; for simulate, _JSON_SIMULATE_CELLS. The
+# strings filled in are digits, "/" and "." only, which JSON never
+# escapes.
+_JSON_ITEM = ",\n        "
+_JSON_ROW_OPEN = '    {\n      "tuple": [\n        '
+_JSON_ROW_CLOSE = "\n      ]\n    }"
+
+_JSON_TABLE_CELLS = (
+    '\n      ],\n'
     '      "probability": "%s",\n'
     '      "probability_decimal": "%s",\n'
     '      "count": "%s",\n'
-    '      "path": [\n        %s\n      ]\n'
-    '    }'
+    '      "path": [\n        '
 )
 
-_SIMULATE_ROW_JSON = (
-    '    {\n'
-    '      "tuple": [\n        %s\n      ],\n'
+_JSON_SIMULATE_CELLS = (
+    '\n      ],\n'
     '      "count": %d,\n'
     '      "frequency": "%s",\n'
     '      "frequency_decimal": "%s",\n'
@@ -167,15 +168,23 @@ _SIMULATE_ROW_JSON = (
 )
 
 
-def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str, str]]:
-    """``(p/q, decimal, count)`` strings of an ordering count over ``(2n)!``.
+def _tuple_text(n: int, fmt: str) -> tuple[str, str, str]:
+    """``(before, sep, after)`` of a row's tuple text in ``fmt``, for :func:`_row_walk`.
 
-    Memoized per call: rows share few distinct products (808 among the
-    208,012 rows of order 12), so each is rendered once.
+    CSV rows open with the tuple cell ``(k_1,...,k_n)``, quoted as
+    csv.writer quotes a cell with a comma: from ``n = 2`` on. JSON rows
+    open with the row object up to the tuple's elements.
     """
+    if fmt == "json":
+        return _JSON_ROW_OPEN, _JSON_ITEM, ""
+    quote = '"' if n > 1 else ""
+    return quote + "(", ",", ")" + quote
+
+
+def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str, str]]:
+    """``(p/q, decimal, count)`` strings of an ordering count over ``(2n)!``."""
     denominator = math.factorial(2 * n)
 
-    @functools.cache
     def texts(count: int) -> tuple[str, str, str]:
         return (
             _ratio(count, denominator),
@@ -184,25 +193,6 @@ def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str
         )
 
     return texts
-
-
-# Separator of the elements of a row's list.
-_JSON_ITEM_SEPARATOR = ",\n        "
-
-
-def _json_items(n: int) -> Callable[[Iterable[int]], str]:
-    """Renderer of the elements of a row's list whose entries lie in ``0..n``."""
-    digits = [str(v) for v in range(n + 1)]
-
-    def render(values: Iterable[int]) -> str:
-        return _JSON_ITEM_SEPARATOR.join([digits[v] for v in values])
-
-    return render
-
-
-def _json_tuple(text: str) -> str:
-    """The elements of a row's tuple list, from the tuple's text ``(k_1,...,k_n)``."""
-    return text[1:-1].replace(",", _JSON_ITEM_SEPARATOR)
 
 
 def _stream_json(
@@ -276,49 +266,45 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Write the table row by row from the lexicographic row generator.
+    """Write the table row by row, each joined from pre-rendered fragments.
 
-    Each valid tuple comes with its integer ordering count and its text,
-    so a row is rendered from integers over the shared denominator
-    ``(2n)!`` and the generator's text (the CSV cell, and the JSON tuple
-    list once its commas are spaced out), and written at once. JSON paths
-    come from the walk of ``dyck_paths``, which steps the same odometer
-    as the rows, so each path arrives with its tuple. ``--sort prob``
-    holds one pair per row, sorts them, then renders: ``(text, count)``
-    for CSV, and ``(-count, tuple)`` for JSON, which lists the tuple's
-    entries and rebuilds its path from it.
+    The rows come from the walk of :func:`_row_walk`: each prefix of the
+    odometer brings its ordering-count factor and its text, a block of
+    tails brings theirs, so a row's count is one product and its text
+    two concatenations, whatever its length. The tuple text is the CSV
+    cell, or the JSON row's opening and tuple list; JSON rows also take
+    the path's list elements the same way. The cells that depend on the
+    count alone (``p/q``, decimal, count) are rendered once per distinct
+    count. ``--sort prob`` holds one ``(count, prefix, tail)`` triple per
+    row, whose prefix and tail are shared with the walk, and sorts them
+    before rendering.
     """
     n = args.n
     _check_cap(n, _cap_override(args), "distribution table")
     texts = _probability_texts(n, args.precision)
-    rows = _count_rows(n)
     if args.format == "json":
-        json_items = _json_items(n)
-        if args.sort == "prob":
-            # highest probability first; ties broken lexicographically
-            order = sorted((-count, t) for t, count, _ in rows)
-            lines = (
-                _TABLE_ROW_JSON % (json_items(t), *texts(-neg), json_items(_climb(t)))
-                for neg, t in order
-            )
-        else:
-            lines = (
-                _TABLE_ROW_JSON % (_json_tuple(text), *texts(count), json_items(path))
-                for (_, count, text), path in zip(rows, _dyck_paths_iter(n))
-            )
+        walk = _row_walk(n, *_tuple_text(n, "json"), _JSON_ROW_CLOSE)
+        cells = functools.cache(lambda count: _JSON_TABLE_CELLS % texts(count))
+    else:
+        walk = _row_walk(n, *_tuple_text(n, "csv"))
+        cells = functools.cache(lambda count: ",%s,%s,%s\n" % texts(count))
+    rows: Iterable[tuple[int, tuple, tuple]] = (
+        (head[1] * tail[1], head, tail) for head, block in walk for tail in block
+    )
+    if args.sort == "prob":
+        # Highest probability first. The sort is stable, also in
+        # reverse, so ties keep the walk's lexicographic order.
+        rows = sorted(rows, key=operator.itemgetter(0), reverse=True)
+    if args.format == "json":
         _stream_json(
-            {"n": n, "generator": "exact"}, lines, lambda: {"precision": args.precision}
+            {"n": n, "generator": "exact"},
+            (f"{h[2]}{t[2]}{cells(count)}{h[3]}{t[3]}" for count, h, t in rows),
+            lambda: {"precision": args.precision},
         )
     else:
-        pairs: Iterable[tuple[str, int]] = ((text, count) for _, count, text in rows)
-        if args.sort == "prob":
-            # Highest probability first. The sort is stable, also in
-            # reverse, so ties keep the generator's lexicographic order,
-            # which the texts alone would not give: "(10," < "(2,".
-            pairs = sorted(pairs, key=operator.itemgetter(1), reverse=True)
-        _csv_writer(["tuple", "probability", "probability_decimal", "count"]).writerows(
-            (text, *texts(count)) for text, count in pairs
-        )
+        out = sys.stdout
+        out.write("tuple,probability,probability_decimal,count\n")
+        out.writelines(h[2] + t[2] + cells(count) for count, h, t in rows)
     return EXIT_OK
 
 
@@ -369,15 +355,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Write each tuple's sampled count beside its exact law, row by row.
 
-    The sampled tally holds only the tuples hit; the lexicographic row
-    generator supplies the rest with a count of zero, and each row's
-    text. Every deviation ``|hits/trials - count/(2n)!|`` is one integer
-    numerator over ``trials * (2n)!``, so the running maximum is exact
-    and is written after the rows. The cells after the tuple of a row no
-    trial hit depend on its ordering count alone, so they are rendered
-    once per distinct count. Hit rows are rendered one by one, so both
-    memos, keyed by count, stay as small as the set of distinct products
-    (808 at n = 12), not Catalan(n).
+    The sampled tally holds only the tuples hit; the walk of
+    :func:`_row_walk` supplies every row, hit or not, with its tuple,
+    its ordering count and its tuple text, as for ``table``. Every
+    deviation ``|hits/trials - count/(2n)!|`` is one integer numerator
+    over ``trials * (2n)!``, so the largest is exact and is written
+    after the rows. A row no trial hit deviates by ``count * trials``
+    and its cells depend on its count alone: they are rendered once per
+    distinct count, and only the largest such count is kept. Hit rows
+    are rendered one by one. Both memos, keyed by count, stay as small
+    as the set of distinct products (808 at n = 12), not Catalan(n).
     """
     # numpy loads only for sampling commands
     from .process import _MAX_PATH_N, _sampled_counts
@@ -386,64 +373,71 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hits = _sampled_counts(
         n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args, _MAX_PATH_N)
     )
-    texts = _probability_texts(n, precision)
+    texts = functools.cache(_probability_texts(n, precision))
     denominator = math.factorial(2 * n)
     scale = trials * denominator
-    worst = 0
 
     # The cells after a row's tuple, from its hits, the numerator of its
-    # deviation and the texts of its exact probability.
+    # deviation and its ordering count.
     if args.format == "json":
 
-        def cells(hit: int, deviation: int, exact: tuple[str, str, str]) -> tuple:
-            return (
+        def cells(hit: int, deviation: int, count: int) -> str:
+            return _JSON_SIMULATE_CELLS % (
                 hit,
                 _ratio(hit, trials),
                 _decimal(hit, trials, precision),
-                *exact[:2],
+                *texts(count)[:2],
                 _ratio(deviation, scale),
                 _decimal(deviation, scale, precision),
             )
 
     else:
 
-        def cells(hit: int, deviation: int, exact: tuple[str, str, str]) -> tuple:
-            return hit, _ratio(hit, trials), exact[0], _decimal(deviation, scale, precision)
+        def cells(hit: int, deviation: int, count: int) -> str:
+            return ",%d,%s,%s,%s\n" % (
+                hit, _ratio(hit, trials), texts(count)[0], _decimal(deviation, scale, precision)
+            )
 
-    # A missed row's exact texts come from the uncached renderer, so
-    # that texts caches only the counts of rows some trial hit.
-    missed = functools.cache(
-        lambda count: cells(0, count * trials, texts.__wrapped__(count))
-    )
+    missed = functools.cache(lambda count: cells(0, count * trials, count))
+    # the largest deviation of a hit row, and the largest count of a missed one
+    worst = top = 0
 
-    def compared() -> Iterator[tuple[str, tuple]]:
-        nonlocal worst
-        for t, count, text in _count_rows(n):
-            hit = hits.get(t, 0)
-            deviation = abs(hit * denominator - count * trials)
-            worst = max(worst, deviation)
-            yield text, (cells(hit, deviation, texts(count)) if hit else missed(count))
+    def lines() -> Iterator[str]:
+        nonlocal worst, top
+        for (pre, product, head), block in _row_walk(n, *_tuple_text(n, args.format)):
+            for a, c, text in block:
+                count = product * c
+                hit = hits.get(pre + a)
+                if hit is None:
+                    if count > top:
+                        top = count
+                    yield head + text + missed(count)
+                else:
+                    deviation = abs(hit * denominator - count * trials)
+                    if deviation > worst:
+                        worst = deviation
+                    yield head + text + cells(hit, deviation, count)
+
+    def largest() -> int:
+        return max(worst, top * trials)
 
     if args.format == "json":
         _stream_json(
             {"n": n, "generator": "simulation"},
-            (_SIMULATE_ROW_JSON % (_json_tuple(text), *rest) for text, rest in compared()),
+            lines(),
             lambda: {
                 "seed": seed,
                 "trials": trials,
                 "precision": precision,
-                "max_abs_deviation": _ratio(worst, scale),
-                "max_abs_deviation_decimal": _decimal(worst, scale, precision),
+                "max_abs_deviation": _ratio(largest(), scale),
+                "max_abs_deviation_decimal": _decimal(largest(), scale, precision),
             },
         )
     else:
-        writer = _csv_writer(
-            ["tuple", "count", "frequency", "probability", "abs_deviation"]
-        )
-        writer.writerows((text, *rest) for text, rest in compared())
-        writer.writerow(
-            ["max_abs_deviation", "", "", "", _decimal(worst, scale, precision)]
-        )
+        out = sys.stdout
+        out.write("tuple,count,frequency,probability,abs_deviation\n")
+        out.writelines(lines())
+        out.write(f"max_abs_deviation,,,,{_decimal(largest(), scale, precision)}\n")
     return EXIT_OK
 
 

@@ -48,7 +48,13 @@ DEFAULT_ENUMERATION_CAP = 14
 
 
 def catalan(n: int) -> int:
-    """Number of Dyck paths of semilength ``n`` (and of valid tuples of order ``n``)."""
+    """Number of Dyck paths of semilength ``n`` (and of valid tuples of order ``n``).
+
+    ``catalan(0) == 1``, the empty path. A bool, a non-integer or a
+    negative ``n`` raises :class:`MalformedInputError`.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise MalformedInputError(f"n must be a non-negative integer, got {n!r}")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -297,30 +303,33 @@ def dyck_paths(n: int, *, cap: int | None = None) -> Iterator[DyckPath]:
 
     Paths come in lexicographic order of their height sequences; the
     total count is ``catalan(n)``. The tuple-to-path bijection keeps
-    lexicographic order, so the walk steps the tuples' prefixes with
-    :func:`_odometer` and completes each from the table of
-    :func:`_tail_blocks`: the path through the prefix's last down-step,
-    kept per prefix entry, followed by the tail's own path with the
-    heights the prefix already climbed dropped.
+    lexicographic order, so the paths follow :func:`_walk` of the
+    tuples: each is the path through its prefix's last down-step, kept
+    per prefix entry, followed by its tail's own path with the heights
+    the prefix already climbed dropped.
     """
     _check_cap(n, cap, "path enumeration")
     return _dyck_paths_iter(n)
 
 
 def _dyck_paths_iter(n: int) -> Iterator[DyckPath]:
-    prefix, blocks = _tail_blocks(n, lambda a, v: _climb(a)[v - 1 :])
-    k = [1] * prefix
-    # heads[j] = (x_1, ..., x_{2j + k_j - 1}), the path through its j-th
-    # down-step: it rises on from the previous entry (from 1 at the
-    # start) to k_j, then steps down once
-    heads = [()] * (prefix + 1)
     trusted = DyckPath._trusted
-    for i in _odometer(k, n):
-        for j in range(i, prefix):
-            h = k[j]
-            heads[j + 1] = (*heads[j], *range(k[j - 1] if j else 1, h + 1), h - 1)
-        head = heads[-1]
-        yield from [trusted(head + tail) for tail in blocks[k[-1] if k else 1]]
+    walk = _walk(n, (), lambda x, prev, v: x + _down_step(prev, v), _tail_path)
+    for head, block in walk:
+        yield from [trusted(head + tail) for tail in block]
+
+
+def _down_step(prev: int, v: int) -> tuple[int, ...]:
+    # The heights a path takes after the down-step of a completion at
+    # height prev (1 for the first) through that of the next one, at v:
+    # it rises on to v, then steps down once.
+    return (*range(prev, v + 1), v - 1)
+
+
+def _tail_path(a: tuple, v: int) -> tuple[int, ...]:
+    # The heights of tail a's path after a prefix ending in v: the path
+    # already stands at v - 1, so its first v - 1 heights are dropped.
+    return _climb(a)[v - 1 :]
 
 
 # Entries of each tuple that come from a table instead of the odometer.
@@ -331,25 +340,42 @@ def _dyck_paths_iter(n: int) -> Iterator[DyckPath]:
 _TAIL = 6
 
 
-def _tail_blocks(
-    n: int, render: Callable[[tuple, int], object]
-) -> tuple[int, dict[int, list]]:
-    """Split order ``n`` into a stepped prefix and a table of tails.
+def _walk(
+    n: int,
+    start: object,
+    entry: Callable[[object, int, int], object],
+    tail: Callable[[tuple, int], object],
+) -> Iterator[tuple[object, list]]:
+    """Each valid prefix of order ``n`` with its block of tails, lexicographically.
 
-    Returns ``(P, blocks)``. Walks step only the first ``P = n - L``
-    entries, ``L = min(_TAIL, n)``; the valid tuples of order ``n`` are
-    then exactly each valid prefix followed by each valid order-``L``
-    tuple ``a`` with ``a_1 >= max(1, v - 1)``, where ``v`` ends the
-    prefix. ``blocks[v]`` holds ``render(a, v)`` for those tails, in
-    lexicographic order; an empty prefix (``P = 0``) takes ``blocks[1]``,
-    every tail.
+    Order ``n`` splits into ``P = n - L`` entries stepped by
+    :func:`_odometer` and ``L = min(_TAIL, n)`` taken from a table: the
+    valid tuples of order ``n`` are exactly each valid prefix followed by
+    each valid order-``L`` tuple ``a`` with ``a_1 >= max(1, v - 1)``,
+    where ``v`` ends the prefix. The table is built once per call by the
+    same odometer and split into blocks by that smallest first entry.
+
+    Yields ``(head, block)`` per prefix. ``head`` is the prefix's state:
+    ``start`` for the empty prefix, and ``entry(s, prev, v)`` for a
+    prefix of state ``s`` ending in ``prev`` (1 if empty) once ``v`` is
+    appended; it is kept per entry, so a step remakes only the states
+    after the first entry it changed. ``block`` lists ``tail(a, v)`` for
+    each tail ``a`` the prefix allows, in lexicographic order; an empty
+    prefix (``P = 0``) takes every tail.
     """
     size = min(_TAIL, n)
     a = [1] * size
     table = [tuple(a) for _ in _odometer(a, size)]
-    return n - size, {
-        v: [render(t, v) for t in table if t[0] >= v - 1] for v in range(1, size + 2)
+    blocks = {
+        v: [tail(t, v) for t in table if t[0] >= v - 1] for v in range(1, size + 2)
     }
+    prefix = n - size
+    k = [1] * prefix
+    heads = [start] * (prefix + 1)
+    for i in _odometer(k, n):
+        for j in range(i, prefix):
+            heads[j + 1] = entry(heads[j], k[j - 1] if j else 1, k[j])
+        yield heads[-1], blocks[k[-1] if k else 1]
 
 
 def _odometer(k: list[int], top: int) -> Iterator[int]:
@@ -361,9 +387,8 @@ def _odometer(k: list[int], top: int) -> Iterator[int]:
     each step the generator yields the index of the first entry changed
     since the previous prefix (0 for the first); that entry rose by one
     and every entry after it holds its minimum, ``max(1, k_{j-1} - 1)``.
-    Callers update only the state that follows that index: prefix
-    products and text for the probability rows, prefix heights for
-    :func:`dyck_paths`. Entry ``i`` (0-based) is at most ``top - i``,
+    :func:`_walk` remakes only the prefix states that follow that
+    index. Entry ``i`` (0-based) is at most ``top - i``,
     the pairs not yet completed when it is taken.
     """
     size = len(k)

@@ -10,19 +10,17 @@ orderings of the ``2n`` distinguishable socks, so its probability is
 ``2^n * n! * prod(k_i) / (2n)!``. Tuples no Dyck path realizes have
 probability zero.
 
-Whole tables come from one row generator, in lexicographic order. The
-odometer of :mod:`sockpath.core` steps only each tuple's prefix, all
-but its last ``min(6, n)`` entries; a table of those tails, built once
-per call, fills in the rest, a whole block of rows per step. Each row
-carries the tuple's integer ordering count and its text, joined from a
-prefix part kept with the odometer's state and a tail part kept in the
-table, with no row validated again. Rows carry no paths:
-:func:`~sockpath.core.dyck_paths` walks the same prefixes and tails,
-and the tuple-to-path bijection keeps lexicographic order, so its walk
-meets the paths in the rows' order. Every row shares the denominator
-``(2n)!``, so nothing needs a Fraction until the API boundary:
-:func:`full_distribution` and the Monte Carlo report build them there,
-while the CLI streams rows straight from the integers.
+Whole tables come from one walk, in lexicographic order:
+:func:`~sockpath.core._walk` steps only each tuple's prefix, all but its
+last ``min(6, n)`` entries, and a table of those tails, built once per
+call, fills in the rest, a whole block of rows per step. The rows of
+:func:`_row_walk` keep each prefix's part of the integer ordering count
+and of the text with the odometer's state, and each tail's in the
+table, so a row joins the two with no row validated again; the CLI's
+CSV cells and JSON lists, paths included, are such texts. Every row
+shares the denominator ``(2n)!``, so nothing needs a Fraction until the
+API boundary: :func:`full_distribution` and the Monte Carlo report build
+them there, while the CLI streams rows straight from the integers.
 
 Marginal statistics (the table count after draw ``k``, the running
 maximum) come from the Markov chain on the table count instead of an
@@ -40,7 +38,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import KTuple, _check_cap, _odometer, _tail_blocks, validate_ktuple
+from .core import (
+    KTuple,
+    _check_cap,
+    _down_step,
+    _tail_path,
+    _walk,
+    validate_ktuple,
+)
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -115,47 +120,62 @@ def enumerate_ktuples(n: int, *, cap: int | None = None) -> Iterator[KTuple]:
 
 
 def _ktuples_iter(n: int) -> Iterator[KTuple]:
-    prefix, blocks = _tail_blocks(n, lambda a, v: a)
-    k = [1] * prefix
     trusted = KTuple._trusted
-    for _ in _odometer(k, n):
-        head = tuple(k)
-        yield from [trusted(head + a) for a in blocks[k[-1] if k else 1]]
+    for head, block in _walk(n, (), lambda s, prev, v: (*s, v), lambda a, v: a):
+        yield from [trusted(head + a) for a in block]
 
 
 def _count_rows(n: int) -> Iterator[tuple[KTuple, int, str]]:
     """Every valid tuple of order ``n`` with its ordering count and text, lexicographically.
 
-    Yields ``(t, 2^n * n! * prod(t), str(t))``. The odometer steps each
-    tuple's prefix and keeps its product and text per entry, so a step
-    recomputes only what follows the first entry it changed. The
-    prefix's block of tails from :func:`~sockpath.core._tail_blocks`,
-    each with its product and text made once per call, then completes a
-    whole block of rows with one multiplication and one concatenation
-    per row. No row is validated again. Paths are not built here:
-    the tuple-to-path bijection keeps lexicographic order, so the rows
-    pair one to one with the paths of :func:`~sockpath.core.dyck_paths`.
-    Callers check caps.
+    Yields ``(t, 2^n * n! * prod(t), str(t))``, each joined from the
+    parts of :func:`_row_walk`. No row is validated again. Paths are not
+    built here: the tuple-to-path bijection keeps lexicographic order, so
+    the rows pair one to one with the paths of
+    :func:`~sockpath.core.dyck_paths`. Callers check caps.
     """
-    prefix, blocks = _tail_blocks(
-        n, lambda a, v: (a, math.prod(a), ",".join(map(str, a)) + ")")
-    )
-    k = [1] * prefix
-    # prods[j] = 2^n * n! * k_1 * ... * k_j and heads[j] = "(k_1,...,k_j,"
-    prods = [(1 << n) * math.factorial(n)] * (prefix + 1)
-    heads = ["("] * (prefix + 1)
-    # entries lie in 1..n, two digits from n = 10 on
-    inner = [f"{v}," for v in range(n + 1)]
     ktuple = KTuple._trusted
-    for i in _odometer(k, n):
-        for j in range(i, prefix):
-            prods[j + 1] = prods[j] * k[j]
-            heads[j + 1] = heads[j] + inner[k[j]]
-        pre, product, head = tuple(k), prods[-1], heads[-1]
+    for (pre, product, head), block in _row_walk(n, "(", ",", ")"):
         yield from [
-            (ktuple(pre + a), product * c, head + text)
-            for a, c, text in blocks[k[-1] if k else 1]
+            (ktuple(pre + a), product * c, head + text) for a, c, text in block
         ]
+
+
+def _row_walk(
+    n: int, before: str, sep: str, after: str, path_after: str | None = None
+) -> Iterator[tuple[tuple, list[tuple]]]:
+    """The :func:`~sockpath.core._walk` of the rows of order ``n``: tuples, counts and text.
+
+    A prefix's state is ``(pre, 2^n * n! * prod(pre), before + each entry
+    followed by sep)``, and a tail ``a``'s part is ``(a, prod(a), a's
+    entries joined by sep + after)``: a row's tuple joins the two tuples,
+    its ordering count is the product of the two counts and its text
+    joins the two texts, with one operation each per row. With
+    ``path_after``, each also holds the row's path heights as text: the
+    prefix's through its last down-step, each followed by ``sep``, and
+    the tail's own, joined by ``sep``, then ``path_after``.
+    """
+    # heights lie in 0..n, entries in 1..n
+    items = [f"{v}{sep}" for v in range(n + 1)]
+    start = ((), (1 << n) * math.factorial(n), before)
+
+    def entry(s: tuple, prev: int, v: int) -> tuple:
+        return (*s[0], v), s[1] * v, s[2] + items[v]
+
+    def tail(a: tuple, v: int) -> tuple:
+        return a, math.prod(a), sep.join(map(str, a)) + after
+
+    if path_after is None:
+        return _walk(n, start, entry, tail)
+    return _walk(
+        n,
+        (*start, ""),
+        lambda s, prev, v: (
+            *entry(s, prev, v),
+            s[3] + "".join([items[h] for h in _down_step(prev, v)]),
+        ),
+        lambda a, v: (*tail(a, v), sep.join(map(str, _tail_path(a, v))) + path_after),
+    )
 
 
 @dataclass(frozen=True)

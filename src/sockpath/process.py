@@ -136,7 +136,11 @@ class SockSequence(tuple):
         expected = set(_all_socks(n))
         seen: set[Sock] = set()
         for i, sock in enumerate(items, 1):
-            if sock not in expected:
+            try:
+                known = sock in expected
+            except TypeError:  # a field that cannot be hashed, such as a list
+                known = False
+            if not known:
                 raise MalformedInputError(
                     f"draw {i} is {sock!r}, not a sock of {n} pairs"
                 )

@@ -20,9 +20,11 @@ import sockpath
 from sockpath import KTuple, process
 from sockpath.probability import _count_rows
 from sockpath.cli import (
-    _SIMULATE_ROW_JSON,
-    _TABLE_ROW_JSON,
-    _json_items,
+    _JSON_ITEM,
+    _JSON_ROW_CLOSE,
+    _JSON_ROW_OPEN,
+    _JSON_SIMULATE_CELLS,
+    _JSON_TABLE_CELLS,
     _resolve_workers,
     _stream_json,
     format_decimal,
@@ -446,6 +448,14 @@ class TestSimulate:
         code, out, _ = cli("simulate", "3", "--trials", "15", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
+        # Two rows missed, (1,1,1) of probability 1/15 first: the largest
+        # missed count sets the maximum, not the first. Hit rows deviate
+        # by 4/45, 1/5 and 8/45.
+        tally = {KTuple((1, 2, 1)): 2, KTuple((2, 1, 1)): 3, KTuple((2, 2, 1)): 4}
+        monkeypatch.setattr(process, "_sampled_counts", lambda *args, **kwargs: tally)
+        code, out, _ = cli("simulate", "3", "--trials", "9", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n,trials,all_hit", [(9, 200, False), (4, 100_000, True)])
@@ -749,10 +759,34 @@ class TestBoundedMemory:
         large = self._peak_rss_kb("table", "11", "--format", "json", "--sort", "lex")
         assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
 
+    @pytest.mark.parametrize(
+        "command,extra", [("table", ()), ("simulate", ("--trials", "20000"))]
+    )
+    def test_csv_lines_hold_no_rows(self, command, extra):
+        # CSV rows are written as ready lines, one by one
+        small = self._peak_rss_kb(command, "6", "--format", "csv", *extra)
+        large = self._peak_rss_kb(command, "11", "--format", "csv", *extra)
+        assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
 
-# The templates' string fields hold integers, ratios and decimals.
+
+# The fragments' string fields hold integers, ratios and decimals.
 _numeric_text = st.text(alphabet="0123456789/.", min_size=1, max_size=40)
 _int_lists = st.lists(st.integers(0, 10**4), min_size=1, max_size=30)
+
+
+@st.composite
+def _split_lists(draw) -> tuple[list[int], int]:
+    # A list and a cut before its last element: rows join a prefix
+    # fragment, each element followed by the separator, to a tail
+    # fragment of at least one element.
+    values = draw(_int_lists)
+    return values, draw(st.integers(0, len(values) - 1))
+
+
+def _items(values: list[int], cut: int) -> str:
+    # A list's elements as a row joins them: prefix fragment, then tail.
+    prefix = "".join(f"{v}{_JSON_ITEM}" for v in values[:cut])
+    return prefix + _JSON_ITEM.join(map(str, values[cut:]))
 
 
 class TestStreamedJson:
@@ -765,8 +799,8 @@ class TestStreamedJson:
 
     @given(
         rows=st.lists(
-            st.tuples(_int_lists, _numeric_text, _numeric_text,
-                      st.integers(0, 10**40), _int_lists),
+            st.tuples(_split_lists(), _numeric_text, _numeric_text,
+                      st.integers(0, 10**40), _split_lists()),
             min_size=1, max_size=4,
         ),
         n=st.integers(1, 40),
@@ -774,11 +808,11 @@ class TestStreamedJson:
     )
     @settings(max_examples=100)
     def test_table_template_is_json_dumps(self, rows, n, precision):
-        json_items = _json_items(10**4)
-        rendered = [_TABLE_ROW_JSON % (json_items(t), exact, decimal, count, json_items(path))
+        rendered = [_JSON_ROW_OPEN + _items(*t) + _JSON_TABLE_CELLS % (exact, decimal, count)
+                    + _items(*path) + _JSON_ROW_CLOSE
                     for t, exact, decimal, count, path in rows]
-        objects = [{"tuple": t, "probability": exact, "probability_decimal": decimal,
-                    "count": str(count), "path": path}
+        objects = [{"tuple": t[0], "probability": exact, "probability_decimal": decimal,
+                    "count": str(count), "path": path[0]}
                    for t, exact, decimal, count, path in rows]
         head, metadata = {"n": n, "generator": "exact"}, {"precision": precision}
         for row, obj in zip(rendered, objects):
@@ -790,7 +824,7 @@ class TestStreamedJson:
 
     @given(
         rows=st.lists(
-            st.tuples(_int_lists, st.integers(0, 10**12), *[_numeric_text] * 6),
+            st.tuples(_split_lists(), st.integers(0, 10**12), *[_numeric_text] * 6),
             min_size=1, max_size=4,
         ),
         seed=st.integers(0, 2**64 - 1),
@@ -802,14 +836,16 @@ class TestStreamedJson:
     def test_simulate_template_is_json_dumps(self, rows, seed, trials, precision, worst):
         names = ("frequency", "frequency_decimal", "probability",
                  "probability_decimal", "abs_deviation", "abs_deviation_decimal")
-        json_items = _json_items(10**4)
-        rendered = [_SIMULATE_ROW_JSON % (json_items(t), hits, *texts)
+        rendered = [_JSON_ROW_OPEN + _items(*t) + _JSON_SIMULATE_CELLS % (hits, *texts)
                     for t, hits, *texts in rows]
-        objects = [{"tuple": t, "count": hits, **dict(zip(names, texts))}
+        objects = [{"tuple": t[0], "count": hits, **dict(zip(names, texts))}
                    for t, hits, *texts in rows]
         head = {"n": 3, "generator": "simulation"}
         metadata = {"seed": seed, "trials": trials, "precision": precision,
                     "max_abs_deviation": worst[0], "max_abs_deviation_decimal": worst[1]}
+        for row, obj in zip(rendered, objects):
+            text = json.dumps({"rows": [obj]}, indent=2)
+            assert text == '{\n  "rows": [\n' + row + '\n  ]\n}'
         assert self._streamed(head, rendered, metadata) == json.dumps(
             {**head, "rows": objects, "metadata": metadata}, indent=2) + "\n"
 

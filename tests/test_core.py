@@ -291,6 +291,14 @@ def test_catalan_matches_recurrence():
     assert catalan(14) == 2_674_440
 
 
+@pytest.mark.parametrize("n", [-1, 2.0, True, "3", None])
+def test_catalan_rejects_malformed_n(n):
+    # not the raw ValueError of math.comb or TypeError of 2 * n
+    with pytest.raises(MalformedInputError, match="non-negative integer"):
+        catalan(n)
+    assert catalan(0) == 1
+
+
 @pytest.mark.parametrize(
     "call,arg",
     [

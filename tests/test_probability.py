@@ -1,5 +1,7 @@
 """Exact law: formula, enumeration, distribution tables, marginals."""
 
+import csv
+import io
 import itertools
 import math
 from collections import Counter
@@ -29,7 +31,8 @@ from sockpath import (
     validate_ktuple,
 )
 from sockpath import core
-from sockpath.probability import _count_rows
+from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _tuple_text
+from sockpath.probability import _count_rows, _row_walk
 
 from conftest import valid_ktuples
 
@@ -298,6 +301,13 @@ def path_by_rule(t: tuple) -> tuple:
     return tuple(x)
 
 
+def csv_cell(text: str) -> str:
+    # the tuple cell as csv.writer writes it, without the line's end
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow([text])
+    return line.getvalue()
+
+
 class TestTailSeam:
     # Rows and paths join a prefix stepped by the odometer to a tail from
     # the table of order min(core._TAIL, n); forcing every tail length
@@ -311,6 +321,8 @@ class TestTailSeam:
             for t in tuples
         ]
         paths = [path_by_rule(t) for t in tuples]
+        # csv.writer quotes every tuple cell of order n, or none
+        quote = '"' if csv_cell(rows[0][2]) != rows[0][2] else ""
         for size in range(1, min(n, core._TAIL) + 1):
             monkeypatch.setattr(core, "_TAIL", size)
             prefix = n - size
@@ -325,6 +337,33 @@ class TestTailSeam:
                 assert got == want and type(got) is DyckPath
             for got, want in zip(enumerate_ktuples(n), tuples, strict=True):
                 assert got == want and type(got) is KTuple
+            # The fragments of CLI rows: the CSV tuple cell, and the JSON
+            # row's opening with the tuple's elements and the path's
+            # elements with the row's close. Up to n = 11, where entries
+            # and heights reach two digits; n = 12 would add about 10 s.
+            if n > 11:
+                continue
+            csv_rows = (
+                (pre + a, product * c, head + text)
+                for (pre, product, head), block in _row_walk(n, *_tuple_text(n, "csv"))
+                for a, c, text in block
+            )
+            for got, (t, count, text) in zip(csv_rows, rows, strict=True):
+                assert got == (t, count, quote + text + quote)
+            json_rows = (
+                (pre + a, product * c, head + items, path_head + path_items)
+                for (pre, product, head, path_head), block in _row_walk(
+                    n, *_tuple_text(n, "json"), _JSON_ROW_CLOSE
+                )
+                for a, c, items, path_items in block
+            )
+            for got, (t, count, text), path in zip(json_rows, rows, paths, strict=True):
+                assert got == (
+                    t,
+                    count,
+                    _JSON_ROW_OPEN + text[1:-1].replace(",", _JSON_ITEM),
+                    _JSON_ITEM.join(map(str, path)) + _JSON_ROW_CLOSE,
+                )
 
 
 class TestMarginals:

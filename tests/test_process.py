@@ -64,6 +64,16 @@ class TestRunProcess:
         with pytest.raises(MalformedInputError):
             run_process(draws)
 
+    @pytest.mark.parametrize("build", [SockSequence, run_process])
+    @pytest.mark.parametrize(
+        "draws,index",
+        [([([1], 0), (1, 0)], 1), ([(1, 0), (1, {})], 2), ([(1, 0), (1, 1), ([2], [1]), (2, 0)], 3)],
+    )
+    def test_unhashable_field_names_the_draw(self, build, draws, index):
+        # not the raw TypeError of the set lookup
+        with pytest.raises(MalformedInputError, match=f"draw {index} is "):
+            build(draws)
+
     @given(sock_orders(max_n=4))
     def test_trace_is_consistent(self, draws):
         trace = run_process(draws)
