@@ -7,10 +7,12 @@ endings; the JSON schema is documented in docs/output-schema.md with a
 golden example.
 
 ``table`` and ``simulate`` write each row as soon as it is produced, so
-a consumer that closes the pipe early stops the command. A row is a
-ready line joined from fragments rendered once per call: the text of
-each tuple prefix the odometer steps, of each tail in its table, and of
-each distinct ordering count. The lines are byte for byte what
+a consumer that closes the pipe early stops the command. The engine
+yields integers only; every row's text is rendered here. A row is a
+ready line joined from fragments rendered once per call by
+:func:`_rows`: the text of each tuple prefix the odometer steps and of
+each tail in its table, and the cells of each distinct ordering count.
+These lines, and those of ``stats``, are byte for byte what
 ``csv.writer`` and ``json.dumps(indent=2)`` would write.
 
 Exit codes are stable across subcommands: 0 success, 1 failed
@@ -21,7 +23,6 @@ validity error, 141 (128 + SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -31,20 +32,23 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import DyckPath, KTuple, _check_cap, ktuple_of_path, path_of_ktuple
+from .core import (
+    DyckPath,
+    KTuple,
+    _check_cap,
+    _down_step,
+    _tail_path,
+    _walk,
+    ktuple_of_path,
+    path_of_ktuple,
+)
 from .errors import (
     MalformedInputError,
     ResourceLimitError,
     SockPathError,
     ValidityError,
 )
-from .probability import (
-    _count_rows,
-    _row_walk,
-    marginal_xk,
-    max_distribution,
-    tuple_probability,
-)
+from .probability import _count_rows, marginal_xk, max_distribution, tuple_probability
 
 __all__ = ["main", "run"]
 
@@ -129,13 +133,6 @@ def render_ascii(path: DyckPath) -> str:
     return "\n".join(lines)
 
 
-def _csv_writer(header: list[str]):
-    """A CSV writer on the current stdout, with ``header`` already written."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    return writer
-
-
 # Streamed JSON reproduces json.dumps(indent=2) byte for byte: each row
 # object sits at depth 2 and each list in it puts one element per line
 # at depth 4. A row is _JSON_ROW_OPEN, the tuple's elements joined by
@@ -168,17 +165,40 @@ _JSON_SIMULATE_CELLS = (
 )
 
 
-def _tuple_text(n: int, fmt: str) -> tuple[str, str, str]:
-    """``(before, sep, after)`` of a row's tuple text in ``fmt``, for :func:`_row_walk`.
+def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tuple]]:
+    """Every row of order ``n`` as ``(count, head, tail)``, lexicographically.
 
-    CSV rows open with the tuple cell ``(k_1,...,k_n)``, quoted as
-    csv.writer quotes a cell with a comma: from ``n = 2`` on. JSON rows
-    open with the row object up to the tuple's elements.
+    The walk of :func:`~sockpath.core._walk` keeps, per odometer prefix,
+    the head ``(pre, 2^n * n! * prod(pre), text, path text)`` and, per
+    tail ``a`` in its table, ``(a, prod(a), text, path text)``: the row's
+    tuple is ``pre + a``, its ordering count ``count`` the product of the
+    two and its tuple text the two texts joined. In CSV that text is the
+    cell ``(k_1,...,k_n)``, quoted as csv.writer quotes a cell with a
+    comma, from ``n = 2`` on; in JSON it is the row object up to the
+    tuple's elements. With ``path``, the path texts joined are the JSON
+    elements of the row's path, through the prefix's last down-step and
+    then the tail's own heights, and ``_JSON_ROW_CLOSE``; otherwise both
+    are empty.
     """
     if fmt == "json":
-        return _JSON_ROW_OPEN, _JSON_ITEM, ""
-    quote = '"' if n > 1 else ""
-    return quote + "(", ",", ")" + quote
+        before, sep, after = _JSON_ROW_OPEN, _JSON_ITEM, ""
+    else:
+        quote = '"' if n > 1 else ""
+        before, sep, after = quote + "(", ",", ")" + quote
+    # heights lie in 0..n, entries in 1..n
+    items = [f"{v}{sep}" for v in range(n + 1)]
+
+    def entry(s: tuple, prev: int, v: int) -> tuple:
+        climb = "".join([items[h] for h in _down_step(prev, v)]) if path else ""
+        return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climb
+
+    def tail(a: tuple, v: int) -> tuple:
+        climb = sep.join(map(str, _tail_path(a, v))) + _JSON_ROW_CLOSE if path else ""
+        return a, math.prod(a), sep.join(map(str, a)) + after, climb
+
+    start = ((), (1 << n) * math.factorial(n), before, "")
+    for head, block in _walk(n, start, entry, tail):
+        yield from [(head[1] * t[1], head, t) for t in block]
 
 
 def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str, str]]:
@@ -268,28 +288,21 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Write the table row by row, each joined from pre-rendered fragments.
 
-    The rows come from the walk of :func:`_row_walk`: each prefix of the
-    odometer brings its ordering-count factor and its text, a block of
-    tails brings theirs, so a row's count is one product and its text
-    two concatenations, whatever its length. The tuple text is the CSV
-    cell, or the JSON row's opening and tuple list; JSON rows also take
-    the path's list elements the same way. The cells that depend on the
-    count alone (``p/q``, decimal, count) are rendered once per distinct
-    count. ``--sort prob`` holds one ``(count, prefix, tail)`` triple per
-    row, whose prefix and tail are shared with the walk, and sorts them
-    before rendering.
+    The rows of :func:`_rows` bring each row's ordering count and its
+    text in two parts, a prefix's and a tail's, whatever its length:
+    the CSV cell, or the JSON row's opening, tuple and path. The cells
+    that depend on the count alone (``p/q``, decimal, count) are
+    rendered once per distinct count. ``--sort prob`` holds one ``(count,
+    head, tail)`` triple per row, whose head and tail are shared with
+    the walk, and sorts them before rendering.
     """
     n = args.n
     _check_cap(n, _cap_override(args), "distribution table")
     texts = _probability_texts(n, args.precision)
-    if args.format == "json":
-        walk = _row_walk(n, *_tuple_text(n, "json"), _JSON_ROW_CLOSE)
-        cells = functools.cache(lambda count: _JSON_TABLE_CELLS % texts(count))
-    else:
-        walk = _row_walk(n, *_tuple_text(n, "csv"))
-        cells = functools.cache(lambda count: ",%s,%s,%s\n" % texts(count))
-    rows: Iterable[tuple[int, tuple, tuple]] = (
-        (head[1] * tail[1], head, tail) for head, block in walk for tail in block
+    template = _JSON_TABLE_CELLS if args.format == "json" else ",%s,%s,%s\n"
+    cells = functools.cache(lambda count: template % texts(count))
+    rows: Iterable[tuple[int, tuple, tuple]] = _rows(
+        n, args.format, path=args.format == "json"
     )
     if args.sort == "prob":
         # Highest probability first. The sort is stable, also in
@@ -335,7 +348,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     # Every valid tuple is checked, tallied or not, and so is every
     # tallied tuple, valid or not (no ordering realizes an invalid one).
-    expected = {t: count for t, count, _ in _count_rows(args.n)}
+    expected = dict(_count_rows(args.n))
     checked = sorted(expected.keys() | counts.keys())
     for t in checked:
         tally, want = counts.get(t, 0), expected.get(t, 0)
@@ -355,15 +368,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Write each tuple's sampled count beside its exact law, row by row.
 
-    The sampled tally holds only the tuples hit; the walk of
-    :func:`_row_walk` supplies every row, hit or not, with its tuple,
-    its ordering count and its tuple text, as for ``table``. Every
-    deviation ``|hits/trials - count/(2n)!|`` is one integer numerator
-    over ``trials * (2n)!``, so the largest is exact and is written
-    after the rows. A row no trial hit deviates by ``count * trials``
-    and its cells depend on its count alone: they are rendered once per
-    distinct count, and only the largest such count is kept. Hit rows
-    are rendered one by one. Both memos, keyed by count, stay as small
+    The sampled tally holds only the tuples hit; :func:`_rows` supplies
+    every row, hit or not, with its tuple, its ordering count and its
+    tuple text, as for ``table``. Every deviation ``|hits/trials -
+    count/(2n)!|`` is one integer numerator over ``trials * (2n)!``, so
+    the largest is exact and is written after the rows. A row no trial
+    hit deviates by ``count * trials`` and its cells depend on its count
+    alone: they are rendered once per distinct count, and only the
+    largest such count is kept. Hit rows are rendered one by one. Both memos, keyed by count, stay as small
     as the set of distinct products (808 at n = 12), not Catalan(n).
     """
     # numpy loads only for sampling commands
@@ -404,19 +416,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     def lines() -> Iterator[str]:
         nonlocal worst, top
-        for (pre, product, head), block in _row_walk(n, *_tuple_text(n, args.format)):
-            for a, c, text in block:
-                count = product * c
-                hit = hits.get(pre + a)
-                if hit is None:
-                    if count > top:
-                        top = count
-                    yield head + text + missed(count)
-                else:
-                    deviation = abs(hit * denominator - count * trials)
-                    if deviation > worst:
-                        worst = deviation
-                    yield head + text + cells(hit, deviation, count)
+        for count, (pre, _, head, _), (a, _, text, _) in _rows(n, args.format):
+            hit = hits.get(pre + a)
+            if hit is None:
+                if count > top:
+                    top = count
+                yield head + text + missed(count)
+            else:
+                deviation = abs(hit * denominator - count * trials)
+                if deviation > worst:
+                    worst = deviation
+                yield head + text + cells(hit, deviation, count)
 
     def largest() -> int:
         return max(worst, top * trials)
@@ -478,8 +488,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         # the moments follow the heights as rows of the same shape
-        _csv_writer(["height", "probability", "probability_decimal"]).writerows(
-            [str(h), str(p), format_decimal(p, precision)]
+        out = sys.stdout
+        out.write("height,probability,probability_decimal\n")
+        out.writelines(
+            f"{h},{p},{format_decimal(p, precision)}\n"
             for h, p in [*law.items(), *moments]
         )
     return EXIT_OK

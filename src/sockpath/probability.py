@@ -13,11 +13,10 @@ probability zero.
 Whole tables come from one walk, in lexicographic order:
 :func:`~sockpath.core._walk` steps only each tuple's prefix, all but its
 last ``min(6, n)`` entries, and a table of those tails, built once per
-call, fills in the rest, a whole block of rows per step. The rows of
-:func:`_row_walk` keep each prefix's part of the integer ordering count
-and of the text with the odometer's state, and each tail's in the
-table, so a row joins the two with no row validated again; the CLI's
-CSV cells and JSON lists, paths included, are such texts. Every row
+call, fills in the rest, a whole block of rows per step.
+:func:`_count_rows` keeps each prefix's part of the integer ordering
+count with the odometer's state, and each tail's in the table, so a
+row's count is one product and no row is validated again. Every row
 shares the denominator ``(2n)!``, so nothing needs a Fraction until the
 API boundary: :func:`full_distribution` and the Monte Carlo report build
 them there, while the CLI streams rows straight from the integers.
@@ -38,14 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import (
-    KTuple,
-    _check_cap,
-    _down_step,
-    _tail_path,
-    _walk,
-    validate_ktuple,
-)
+from .core import KTuple, _check_cap, _walk, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
 __all__ = [
@@ -125,57 +117,25 @@ def _ktuples_iter(n: int) -> Iterator[KTuple]:
         yield from [trusted(head + a) for a in block]
 
 
-def _count_rows(n: int) -> Iterator[tuple[KTuple, int, str]]:
-    """Every valid tuple of order ``n`` with its ordering count and text, lexicographically.
+def _count_rows(n: int) -> Iterator[tuple[KTuple, int]]:
+    """Every valid tuple of order ``n`` with its ordering count, lexicographically.
 
-    Yields ``(t, 2^n * n! * prod(t), str(t))``, each joined from the
-    parts of :func:`_row_walk`. No row is validated again. Paths are not
-    built here: the tuple-to-path bijection keeps lexicographic order, so
-    the rows pair one to one with the paths of
-    :func:`~sockpath.core.dyck_paths`. Callers check caps.
+    Yields ``(t, 2^n * n! * prod(t))``. A prefix's state in the walk is
+    ``(pre, 2^n * n! * prod(pre))`` and a tail ``a``'s part is ``(a,
+    prod(a))``, so a row joins two tuples and multiplies two counts. No
+    row is validated again. Paths are not built here: the tuple-to-path
+    bijection keeps lexicographic order, so the rows pair one to one with
+    the paths of :func:`~sockpath.core.dyck_paths`. Callers check caps.
     """
     ktuple = KTuple._trusted
-    for (pre, product, head), block in _row_walk(n, "(", ",", ")"):
-        yield from [
-            (ktuple(pre + a), product * c, head + text) for a, c, text in block
-        ]
-
-
-def _row_walk(
-    n: int, before: str, sep: str, after: str, path_after: str | None = None
-) -> Iterator[tuple[tuple, list[tuple]]]:
-    """The :func:`~sockpath.core._walk` of the rows of order ``n``: tuples, counts and text.
-
-    A prefix's state is ``(pre, 2^n * n! * prod(pre), before + each entry
-    followed by sep)``, and a tail ``a``'s part is ``(a, prod(a), a's
-    entries joined by sep + after)``: a row's tuple joins the two tuples,
-    its ordering count is the product of the two counts and its text
-    joins the two texts, with one operation each per row. With
-    ``path_after``, each also holds the row's path heights as text: the
-    prefix's through its last down-step, each followed by ``sep``, and
-    the tail's own, joined by ``sep``, then ``path_after``.
-    """
-    # heights lie in 0..n, entries in 1..n
-    items = [f"{v}{sep}" for v in range(n + 1)]
-    start = ((), (1 << n) * math.factorial(n), before)
-
-    def entry(s: tuple, prev: int, v: int) -> tuple:
-        return (*s[0], v), s[1] * v, s[2] + items[v]
-
-    def tail(a: tuple, v: int) -> tuple:
-        return a, math.prod(a), sep.join(map(str, a)) + after
-
-    if path_after is None:
-        return _walk(n, start, entry, tail)
-    return _walk(
+    walk = _walk(
         n,
-        (*start, ""),
-        lambda s, prev, v: (
-            *entry(s, prev, v),
-            s[3] + "".join([items[h] for h in _down_step(prev, v)]),
-        ),
-        lambda a, v: (*tail(a, v), sep.join(map(str, _tail_path(a, v))) + path_after),
+        ((), (1 << n) * math.factorial(n)),
+        lambda s, prev, v: ((*s[0], v), s[1] * v),
+        lambda a, v: (a, math.prod(a)),
     )
+    for (pre, product), block in walk:
+        yield from [(ktuple(pre + a), product * c) for a, c in block]
 
 
 @dataclass(frozen=True)
@@ -217,7 +177,7 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     """
     _check_cap(n, cap, "distribution table")
     denominator = math.factorial(2 * n)
-    entries = {t: Fraction(c, denominator) for t, c, _ in _count_rows(n)}
+    entries = {t: Fraction(c, denominator) for t, c in _count_rows(n)}
     return DistributionTable(n=n, entries=entries)
 
 

@@ -117,8 +117,9 @@ class SockSequence(tuple):
     """A draw order: a permutation of all ``2n`` socks of ``n`` pairs.
 
     Entries may be given as ``Sock`` values or bare ``(type, side)``
-    pairs. Duplicate or missing socks, an entry that is not a pair and a
-    value that is not iterable raise :class:`MalformedInputError`.
+    pairs. Duplicate or missing socks, an entry that is not a pair, a
+    field that is not an int (bool and float included) and a value that
+    is not iterable raise :class:`MalformedInputError`.
     """
 
     __slots__ = ()
@@ -136,11 +137,10 @@ class SockSequence(tuple):
         expected = set(_all_socks(n))
         seen: set[Sock] = set()
         for i, sock in enumerate(items, 1):
-            try:
-                known = sock in expected
-            except TypeError:  # a field that cannot be hashed, such as a list
-                known = False
-            if not known:
+            # 1.0 and True equal 1 in the set lookup, so the fields are
+            # checked to be ints first; that also keeps unhashable ones out
+            ints = all(isinstance(f, int) and not isinstance(f, bool) for f in sock)
+            if not (ints and sock in expected):
                 raise MalformedInputError(
                     f"draw {i} is {sock!r}, not a sock of {n} pairs"
                 )
@@ -437,7 +437,7 @@ def monte_carlo(
     denominator = math.factorial(2 * n)
     empirical = {}
     comparison = {}
-    for t, count, _ in _count_rows(n):
+    for t, count in _count_rows(n):
         empirical[t] = hits.get(t, 0)
         freq = Fraction(empirical[t], trials)
         p = Fraction(count, denominator)

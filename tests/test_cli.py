@@ -488,7 +488,7 @@ class TestCapOverrideWarning:
         # the exact counts stand in for the 12! orderings' walk
         monkeypatch.setattr(
             process, "brute_force_counts",
-            lambda n, **_: {t: c for t, c, _ in _count_rows(n)},
+            lambda n, **_: dict(_count_rows(n)),
         )
         code, _, err = cli("verify", "6", "--max-n", "6")
         assert code == 0

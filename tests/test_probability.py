@@ -31,8 +31,8 @@ from sockpath import (
     validate_ktuple,
 )
 from sockpath import core
-from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _tuple_text
-from sockpath.probability import _count_rows, _row_walk
+from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _rows
+from sockpath.probability import _count_rows
 
 from conftest import valid_ktuples
 
@@ -244,24 +244,25 @@ class TestCountRows:
         # the generator's products, paired with the path walk, against
         # the validating versions
         rows = list(zip(_count_rows(n), dyck_paths(n), strict=True))
-        assert [t for (t, _, _), _ in rows] == list(enumerate_ktuples(n))
-        for (t, count, _), path in rows:
+        assert [t for (t, _), _ in rows] == list(enumerate_ktuples(n))
+        for (t, count), path in rows:
             assert type(t) is KTuple and type(path) is DyckPath
             assert count == permutation_count(t)
             assert path == path_of_ktuple(t)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_text_is_str_of_tuple(self, n):
-        # entries reach 10 from n = 10 on
-        texts = [text for *_, text in _count_rows(n)]
-        assert texts == [str(t) for t in enumerate_ktuples(n)]
+        # entries reach 10 from n = 10 on; n = 12 walks the default _TAIL
+        cells = (h[2] + t[2] for _, h, t in _rows(n, "csv"))
+        for got, t in zip(cells, enumerate_ktuples(n), strict=True):
+            assert got == csv_cell(str(t))
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_counts_meet_closed_forms(self, n):
         # (2n)! orderings in all; sum over tuples of prod(k_i) = (2n - 1)!!,
         # the number of perfect matchings of 2n draw positions
         orderings = products = rows = 0
-        for t, count, _ in _count_rows(n):
+        for t, count in _count_rows(n):
             orderings += count
             products += math.prod(t)
             rows += 1
@@ -316,13 +317,11 @@ class TestTailSeam:
     def test_every_tail_length(self, n, monkeypatch):
         tuples = valid_by_rule(n)
         prefactor = (1 << n) * math.factorial(n)
-        rows = [
-            (t, prefactor * math.prod(t), "(" + ",".join(map(str, t)) + ")")
-            for t in tuples
-        ]
+        rows = [(t, prefactor * math.prod(t)) for t in tuples]
+        texts = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
         paths = [path_by_rule(t) for t in tuples]
         # csv.writer quotes every tuple cell of order n, or none
-        quote = '"' if csv_cell(rows[0][2]) != rows[0][2] else ""
+        quote = '"' if csv_cell(texts[0]) != texts[0] else ""
         for size in range(1, min(n, core._TAIL) + 1):
             monkeypatch.setattr(core, "_TAIL", size)
             prefix = n - size
@@ -332,7 +331,7 @@ class TestTailSeam:
             # compared as they stream, since lists of a whole table make
             # the collector walk them again and again
             for got, want in zip(_count_rows(n), rows, strict=True):
-                assert got == want and tuple(map(type, got)) == (KTuple, int, str)
+                assert got == want and tuple(map(type, got)) == (KTuple, int)
             for got, want in zip(dyck_paths(n), paths, strict=True):
                 assert got == want and type(got) is DyckPath
             for got, want in zip(enumerate_ktuples(n), tuples, strict=True):
@@ -344,23 +343,18 @@ class TestTailSeam:
             if n > 11:
                 continue
             csv_rows = (
-                (pre + a, product * c, head + text)
-                for (pre, product, head), block in _row_walk(n, *_tuple_text(n, "csv"))
-                for a, c, text in block
+                (h[0] + t[0], count, h[2] + t[2], h[3] + t[3])
+                for count, h, t in _rows(n, "csv")
             )
-            for got, (t, count, text) in zip(csv_rows, rows, strict=True):
-                assert got == (t, count, quote + text + quote)
+            for got, row, text in zip(csv_rows, rows, texts, strict=True):
+                assert got == (*row, quote + text + quote, "")
             json_rows = (
-                (pre + a, product * c, head + items, path_head + path_items)
-                for (pre, product, head, path_head), block in _row_walk(
-                    n, *_tuple_text(n, "json"), _JSON_ROW_CLOSE
-                )
-                for a, c, items, path_items in block
+                (h[0] + t[0], count, h[2] + t[2], h[3] + t[3])
+                for count, h, t in _rows(n, "json", path=True)
             )
-            for got, (t, count, text), path in zip(json_rows, rows, paths, strict=True):
+            for got, row, text, path in zip(json_rows, rows, texts, paths, strict=True):
                 assert got == (
-                    t,
-                    count,
+                    *row,
                     _JSON_ROW_OPEN + text[1:-1].replace(",", _JSON_ITEM),
                     _JSON_ITEM.join(map(str, path)) + _JSON_ROW_CLOSE,
                 )

@@ -74,6 +74,16 @@ class TestRunProcess:
         with pytest.raises(MalformedInputError, match=f"draw {index} is "):
             build(draws)
 
+    @pytest.mark.parametrize("build", [SockSequence, run_process])
+    @pytest.mark.parametrize(
+        "draws,index",
+        [([(1.0, 0), (1, 1)], 1), ([(True, 0), (1, 1)], 1), ([(1, 0), (1, False)], 2)],
+    )
+    def test_non_int_field_names_the_draw(self, build, draws, index):
+        # each equals its int in the set lookup, so it passed as a sock
+        with pytest.raises(MalformedInputError, match=f"draw {index} is "):
+            build(draws)
+
     @given(sock_orders(max_n=4))
     def test_trace_is_consistent(self, draws):
         trace = run_process(draws)
