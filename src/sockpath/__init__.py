@@ -66,7 +66,6 @@ __all__ = [
     "DistributionTable",
     "MarginalStat",
     "ExactProb",
-    "SimComparison",
     "SimulationReport",
     "SockPathError",
     "MalformedInputError",

@@ -368,49 +368,51 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Write each tuple's sampled count beside its exact law, row by row.
 
-    The sampled tally holds only the tuples hit; :func:`_rows` supplies
+    The rows are rendered from the :func:`~sockpath.process.monte_carlo`
+    report, which holds only the tuples hit: :func:`_rows` supplies
     every row, hit or not, with its tuple, its ordering count and its
-    tuple text, as for ``table``. Every deviation ``|hits/trials -
-    count/(2n)!|`` is one integer numerator over ``trials * (2n)!``, so
-    the largest is exact and is written after the rows. A row no trial
-    hit deviates by ``count * trials`` and its cells depend on its count
-    alone: they are rendered once per distinct count, and only the
-    largest such count is kept. Hit rows are rendered one by one. Both memos, keyed by count, stay as small
-    as the set of distinct products (808 at n = 12), not Catalan(n).
+    tuple text, as for ``table``, and the report's ``deviation`` gives
+    each row's ``|hits/trials - count/(2n)!|`` as one integer over
+    ``trials * (2n)!``, so the largest is exact and is written after the
+    rows. A row no trial hit has cells that depend on its count alone:
+    they are rendered once per distinct count, and only the largest such
+    count is kept. Hit rows are rendered one by one. Both memos, keyed
+    by count, stay as small as the set of distinct products (808 at
+    n = 12), not Catalan(n).
     """
     # numpy loads only for sampling commands
-    from .process import _MAX_PATH_N, _sampled_counts
+    from .process import _MAX_PATH_N, monte_carlo
 
     n, trials, seed, precision = args.n, args.trials, args.seed, args.precision
-    hits = _sampled_counts(
+    report = monte_carlo(
         n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args, _MAX_PATH_N)
     )
+    hits, deviation = report.hits, report.deviation
     texts = functools.cache(_probability_texts(n, precision))
-    denominator = math.factorial(2 * n)
-    scale = trials * denominator
+    scale = trials * math.factorial(2 * n)
 
     # The cells after a row's tuple, from its hits, the numerator of its
     # deviation and its ordering count.
     if args.format == "json":
 
-        def cells(hit: int, deviation: int, count: int) -> str:
+        def cells(hit: int, dev: int, count: int) -> str:
             return _JSON_SIMULATE_CELLS % (
                 hit,
                 _ratio(hit, trials),
                 _decimal(hit, trials, precision),
                 *texts(count)[:2],
-                _ratio(deviation, scale),
-                _decimal(deviation, scale, precision),
+                _ratio(dev, scale),
+                _decimal(dev, scale, precision),
             )
 
     else:
 
-        def cells(hit: int, deviation: int, count: int) -> str:
+        def cells(hit: int, dev: int, count: int) -> str:
             return ",%d,%s,%s,%s\n" % (
-                hit, _ratio(hit, trials), texts(count)[0], _decimal(deviation, scale, precision)
+                hit, _ratio(hit, trials), texts(count)[0], _decimal(dev, scale, precision)
             )
 
-    missed = functools.cache(lambda count: cells(0, count * trials, count))
+    missed = functools.cache(lambda count: cells(0, deviation(0, count), count))
     # the largest deviation of a hit row, and the largest count of a missed one
     worst = top = 0
 
@@ -423,13 +425,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     top = count
                 yield head + text + missed(count)
             else:
-                deviation = abs(hit * denominator - count * trials)
-                if deviation > worst:
-                    worst = deviation
-                yield head + text + cells(hit, deviation, count)
+                dev = deviation(hit, count)
+                if dev > worst:
+                    worst = dev
+                yield head + text + cells(hit, dev, count)
 
     def largest() -> int:
-        return max(worst, top * trials)
+        return max(worst, deviation(0, top))
 
     if args.format == "json":
         _stream_json(

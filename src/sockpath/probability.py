@@ -18,8 +18,9 @@ call, fills in the rest, a whole block of rows per step.
 count with the odometer's state, and each tail's in the table, so a
 row's count is one product and no row is validated again. Every row
 shares the denominator ``(2n)!``, so nothing needs a Fraction until the
-API boundary: :func:`full_distribution` and the Monte Carlo report build
-them there, while the CLI streams rows straight from the integers.
+API boundary: :func:`full_distribution` builds them there, while the
+Monte Carlo report compares its tallies with the integers and the CLI
+streams rows straight from them.
 
 Marginal statistics (the table count after draw ``k``, the running
 maximum) come from the Markov chain on the table count instead of an

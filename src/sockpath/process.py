@@ -38,6 +38,7 @@ int64 past that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -46,7 +47,7 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,6 @@ __all__ = [
     "Sock",
     "SockSequence",
     "ProcessTrace",
-    "SimComparison",
     "SimulationReport",
     "run_process",
     "random_permutation",
@@ -79,8 +79,9 @@ __all__ = [
 # roughly a 400x blowup, so the default stops at 5.
 DEFAULT_BRUTE_FORCE_CAP = 5
 
-# Simulation reports list every tuple of the exact law, Catalan(n) rows,
-# so the cap matches the enumeration default.
+# A report holds only the tuples hit, but its rows() walk, which
+# max_abs_deviation and simulate take, visits all Catalan(n) tuples, so
+# the cap matches the enumeration default.
 DEFAULT_SIMULATION_CAP = DEFAULT_ENUMERATION_CAP
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is
@@ -383,35 +384,46 @@ def brute_force_counts(
 # Monte Carlo
 # ----------------------------------------------------------------------
 
-class SimComparison(NamedTuple):
-    """Per-tuple empirical vs exact comparison, all exact rationals."""
-
-    frequency: Fraction
-    probability: Fraction
-    deviation: Fraction
-
-
 @dataclass(frozen=True)
 class SimulationReport:
-    """Outcome of a Monte Carlo run against the exact law.
+    """Outcome of a Monte Carlo run: the tallies of the tuples hit.
 
-    ``empirical`` maps every valid tuple of order ``n`` to its trial
-    count (zero when never hit); counts sum to ``trials``. ``comparison``
-    holds, per tuple, the empirical frequency, the exact probability and
-    their absolute difference. Keys are in lexicographic tuple order.
+    ``hits`` maps each tuple some trial realized to its trial count, in
+    an order set by the tuples alone, whatever the worker count; the
+    counts sum to ``trials``. :meth:`rows` pairs every valid tuple with
+    its hits and its ordering count, and :meth:`deviation` gives a row's
+    distance from the exact law as one integer over ``trials * (2n)!``.
+    ``empirical`` and ``max_abs_deviation`` walk the rows on each access.
     """
 
     n: int
     trials: int
     seed: int
-    empirical: dict[KTuple, int]
-    comparison: dict[KTuple, SimComparison]
+    hits: dict[KTuple, int]
+
+    def rows(self) -> Iterator[tuple[KTuple, int, int]]:
+        """Every valid tuple as ``(t, hits, ordering count)``, lexicographically."""
+        hits = self.hits
+        for t, count in _count_rows(self.n):
+            yield t, hits.get(t, 0), count
+
+    def deviation(self, hit: int, count: int) -> int:
+        """``|hit/trials - count/(2n)!|`` as its numerator over ``trials * (2n)!``."""
+        return abs(hit * self._orderings - count * self.trials)
+
+    @functools.cached_property
+    def _orderings(self) -> int:
+        return math.factorial(2 * self.n)
+
+    @property
+    def empirical(self) -> dict[KTuple, int]:
+        """Every valid tuple's trial count, zero when never hit, lexicographically."""
+        return {t: hit for t, hit, _ in self.rows()}
 
     @property
     def max_abs_deviation(self) -> Fraction:
-        return max(
-            (row.deviation for row in self.comparison.values()), default=Fraction(0)
-        )
+        worst = max(self.deviation(hit, count) for _, hit, count in self.rows())
+        return Fraction(worst, self.trials * self._orderings)
 
 
 def monte_carlo(
@@ -422,7 +434,7 @@ def monte_carlo(
     workers: int = 1,
     cap: int | None = None,
 ) -> SimulationReport:
-    """Estimate the law empirically and compare with the exact one.
+    """Sample ``trials`` draw orders and report the tuples they realize.
 
     Trials are cut into fixed chunks of at most 500,000 rows. Chunk
     ``i`` draws from ``Generator(Philox(key=seed).jumped(i))``, which
@@ -430,32 +442,10 @@ def monte_carlo(
     and the shuffled rows run through the vectorized walk. The report is
     therefore a deterministic function of ``(n, trials, seed)`` alone:
     ``workers`` only bounds how many chunks run at once, and never
-    changes the result. Whatever the cap, ``n`` above 31 raises
+    changes the result. The report keeps only the tallies of the tuples
+    hit, and comparing them with the exact law walks the rows, which the
+    cap bounds. Whatever the cap, ``n`` above 31 raises
     :class:`ResourceLimitError`, since a run's path code must fit 64 bits.
-    """
-    hits = _sampled_counts(n, trials, seed, workers=workers, cap=cap)
-    denominator = math.factorial(2 * n)
-    empirical = {}
-    comparison = {}
-    for t, count in _count_rows(n):
-        empirical[t] = hits.get(t, 0)
-        freq = Fraction(empirical[t], trials)
-        p = Fraction(count, denominator)
-        comparison[t] = SimComparison(
-            frequency=freq, probability=p, deviation=abs(freq - p)
-        )
-    return SimulationReport(
-        n=n, trials=trials, seed=seed, empirical=empirical, comparison=comparison
-    )
-
-
-def _sampled_counts(
-    n: int, trials: int, seed: int, *, workers: int, cap: int | None
-) -> dict[KTuple, int]:
-    """Run :func:`monte_carlo`'s checks and sampling; return the hit tuples' counts.
-
-    Only tuples some trial realized appear, so memory grows with the
-    distinct outcomes drawn, not with Catalan(n).
     """
     _require_positive_int("trials", trials)
     _require_positive_int("workers", workers)
@@ -479,4 +469,6 @@ def _sampled_counts(
     # A run of one chunk stays in this thread, as with one worker.
     chunks = -(-trials // _CHUNK_ROWS)
     tally = _run_chunks(tally_chunk, range(chunks), min(workers, chunks))
-    return {_decode_code(code): c for code, c in tally.items()}
+    # sorted by code, since with several workers chunks finish in any order
+    hits = {_decode_code(code): tally[code] for code in sorted(tally)}
+    return SimulationReport(n, trials, seed, hits)

@@ -1,8 +1,39 @@
-"""Shared hypothesis strategies for sock-sorting objects."""
+"""Shared hypothesis strategies for sock-sorting objects, and a peak-RSS probe."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import sockpath
 from sockpath import DyckPath, KTuple, Sock
+
+# A child's ru_maxrss starts at the peak RSS of the process that started
+# it, so a small launcher, not the test process, reaps the child with
+# os.wait4 and prints its peak in kilobytes.
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen([sys.executable, '-c', *sys.argv[1:]],\n"
+    "    stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "assert os.waitstatus_to_exitcode(status) == 0\n"
+    "print(usage.ru_maxrss)\n"
+)
+
+
+def peak_rss_kb(code: str, *argv: str) -> int:
+    """Peak RSS in kilobytes of a fresh ``python -c code *argv`` on ``src/``."""
+    src = Path(sockpath.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, code, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @st.composite

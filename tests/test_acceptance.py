@@ -138,8 +138,8 @@ def _canonical_report_bytes(rep) -> bytes:
         "trials": rep.trials,
         "seed": rep.seed,
         "rows": [
-            [list(t), rep.empirical[t], str(row.frequency), str(row.probability)]
-            for t, row in rep.comparison.items()
+            [list(t), hit, str(Fraction(hit, rep.trials)), str(tuple_probability(t))]
+            for t, hit, _ in rep.rows()
         ],
     }
     return json.dumps(payload, sort_keys=True).encode()

@@ -31,6 +31,8 @@ from sockpath.cli import (
     main,
 )
 
+from conftest import peak_rss_kb
+
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -440,11 +442,17 @@ class TestSimulate:
         assert code == 2
 
     def test_max_deviation_counts_missed_rows(self, cli, monkeypatch):
+        def reporting(tally):
+            # monte_carlo as simulate calls it, reporting the given tally
+            return lambda n, trials, seed, **kwargs: process.SimulationReport(
+                n, trials, seed, tally
+            )
+
         # A tally whose largest deviation is on the row no trial hit:
         # (3,2,1), of probability 2/5; the others deviate by 2/15 or 0.
         tally = {KTuple((1, 1, 1)): 3, KTuple((2, 1, 1)): 4,
                  KTuple((1, 2, 1)): 4, KTuple((2, 2, 1)): 4}
-        monkeypatch.setattr(process, "_sampled_counts", lambda *args, **kwargs: tally)
+        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
         code, out, _ = cli("simulate", "3", "--trials", "15", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
@@ -452,7 +460,7 @@ class TestSimulate:
         # missed count sets the maximum, not the first. Hit rows deviate
         # by 4/45, 1/5 and 8/45.
         tally = {KTuple((1, 2, 1)): 2, KTuple((2, 1, 1)): 3, KTuple((2, 2, 1)): 4}
-        monkeypatch.setattr(process, "_sampled_counts", lambda *args, **kwargs: tally)
+        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
         code, out, _ = cli("simulate", "3", "--trials", "9", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
@@ -724,29 +732,9 @@ class TestLazyNumpy:
 
 
 class TestBoundedMemory:
-    # A child's ru_maxrss starts at the peak RSS of the process that
-    # started it, so a small launcher, not this test process, reaps the
-    # CLI with os.wait4 and prints its peak in kilobytes.
-    LAUNCHER = (
-        "import os, subprocess, sys\n"
-        "proc = subprocess.Popen([sys.executable, '-c',\n"
-        "    'from sockpath.cli import run; run()', *sys.argv[1:]],\n"
-        "    stdout=subprocess.DEVNULL)\n"
-        "_, status, usage = os.wait4(proc.pid, 0)\n"
-        "assert os.waitstatus_to_exitcode(status) == 0\n"
-        "print(usage.ru_maxrss)\n"
-    )
-
-    def _peak_rss_kb(self, *argv: str) -> int:
-        src = Path(sockpath.__file__).resolve().parent.parent
-        env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
-        env["PYTHONPATH"] = str(src)
-        proc = subprocess.run(
-            [sys.executable, "-c", self.LAUNCHER, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
+    @staticmethod
+    def _peak_rss_kb(*argv: str) -> int:
+        return peak_rss_kb("from sockpath.cli import run; run()", *argv)
 
     def test_simulate_memory_does_not_grow_with_trials(self):
         small = self._peak_rss_kb("simulate", "2", "--trials", "500000")

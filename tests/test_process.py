@@ -33,7 +33,7 @@ from sockpath import (
 from sockpath import process
 from sockpath.process import _decode_code, _path_codes, _run_chunks, _tally_codes
 
-from conftest import sock_orders
+from conftest import peak_rss_kb, sock_orders
 
 
 class TestRunProcess:
@@ -357,8 +357,8 @@ class TestRunChunks:
 class TestMonteCarlo:
     def test_n1_always_the_single_tuple(self):
         report = monte_carlo(1, 100, seed=7)
-        assert report.empirical == {KTuple((1,)): 100}
-        assert report.comparison[KTuple((1,))].frequency == 1
+        assert report.empirical == report.hits == {KTuple((1,)): 100}
+        assert list(report.rows()) == [(KTuple((1,)), 100, 2)]
         assert report.max_abs_deviation == 0
 
     def test_deterministic_and_worker_independent(self):
@@ -369,13 +369,34 @@ class TestMonteCarlo:
         assert base == again == two == four
 
     def test_counts_and_comparison_consistent(self):
-        report = monte_carlo(2, 10_000, seed=5)
-        assert sum(report.empirical.values()) == 10_000
-        assert set(report.empirical) == set(enumerate_ktuples(2))
-        for t, row in report.comparison.items():
-            assert row.frequency == Fraction(report.empirical[t], 10_000)
-            assert row.probability == tuple_probability(t)
-            assert row.deviation == abs(row.frequency - row.probability)
+        # n = 1..9 over three seeds, the first run of this test, and the
+        # all-hit (n = 4) and mostly missed (n = 9) runs of the CLI's
+        # test_missed_and_hit_rows_match_fractions
+        runs = [(n, 1_000, seed) for n in range(1, 10) for seed in (0, 7, 2024)]
+        runs += [(2, 10_000, 5), (4, 100_000, 11), (9, 200, 11)]
+        reports = [monte_carlo(n, trials, seed) for n, trials, seed in runs]
+        # a tally whose largest deviation, 2/5, is on (3,2,1), which no trial hit
+        tally = {KTuple((1, 1, 1)): 3, KTuple((1, 2, 1)): 4,
+                 KTuple((2, 1, 1)): 4, KTuple((2, 2, 1)): 4}
+        reports.append(process.SimulationReport(3, 15, 0, tally))
+        for report in reports:
+            n, trials = report.n, report.trials
+            assert sum(report.hits.values()) == trials
+            assert sum(hit for _, hit, _ in report.rows()) == trials
+            empirical = report.empirical
+            assert sum(empirical.values()) == trials
+            assert set(empirical) == set(enumerate_ktuples(n))
+            scale = trials * math.factorial(2 * n)
+            for t, hit, count in report.rows():
+                assert hit == report.hits.get(t, 0) == empirical[t]
+                assert count == permutation_count(t)
+                freq, prob = Fraction(hit, trials), tuple_probability(t)
+                assert Fraction(report.deviation(hit, count), scale) == abs(freq - prob)
+            # the integer rule against the Fraction maximum over every tuple
+            assert report.max_abs_deviation == max(
+                abs(Fraction(report.hits.get(t, 0), trials) - tuple_probability(t))
+                for t in enumerate_ktuples(n)
+            ), report
 
     def test_seed_changes_outcome(self):
         a = monte_carlo(3, 5_000, seed=1)
@@ -384,9 +405,7 @@ class TestMonteCarlo:
 
     def test_concentration_n2(self):
         report = monte_carlo(2, 1_000_000, seed=42)
-        dev = abs(
-            report.comparison[KTuple((2, 1))].frequency - Fraction(2, 3)
-        )
+        dev = abs(Fraction(report.hits[KTuple((2, 1))], 1_000_000) - Fraction(2, 3))
         assert dev < Fraction(5, 1000)
 
     def test_chunked_n11_is_worker_independent(self, monkeypatch):
@@ -394,16 +413,29 @@ class TestMonteCarlo:
         monkeypatch.setattr(process, "_CHUNK_ROWS", 997)
         base = monte_carlo(11, 5_000, seed=9, workers=1)
         assert sum(base.empirical.values()) == 5_000
-        assert monte_carlo(11, 5_000, seed=9, workers=2) == base
-        assert monte_carlo(11, 5_000, seed=9, workers=4) == base
+        for workers in (2, 4):
+            report = monte_carlo(11, 5_000, seed=9, workers=workers)
+            # chunks finish in any order, the hits keep theirs
+            assert report == base and list(report.hits) == list(base.hits)
 
     def test_chunks_draw_independent_streams(self, monkeypatch):
         # one trial per chunk: chunks sharing a stream would all repeat
         # the same tuple instead of concentrating near P((2, 1)) = 2/3
         monkeypatch.setattr(process, "_CHUNK_ROWS", 1)
         report = monte_carlo(2, 3_000, seed=11)
-        freq = report.comparison[KTuple((2, 1))].frequency
+        freq = Fraction(report.hits[KTuple((2, 1))], 3_000)
         assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
+
+    def test_report_memory_is_bounded_at_the_cap(self):
+        # The report holds only the tuples hit: at n = 14, the default
+        # cap, ten at most, and n = 13's largest deviation walks its
+        # 742,900 rows without holding them.
+        peak = peak_rss_kb(
+            "import sockpath as sp\n"
+            "sp.monte_carlo(14, 10, 1)\n"
+            "assert sp.monte_carlo(13, 10, 1).max_abs_deviation > 0\n"
+        )
+        assert peak < 100 * 1024, f"peak RSS {peak} KB"
 
     def test_tile_shuffle_is_uniform_over_orderings(self, monkeypatch):
         # The shuffle simulate runs: each of the 6! = 720 orderings at n = 3
@@ -418,7 +450,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(process, "_path_codes", spy)
         trials = 144_000
-        hits = process._sampled_counts(3, trials, 2024, workers=1, cap=None)
+        hits = monte_carlo(3, trials, 2024).hits
         assert sum(hits.values()) == trials
         rows = np.concatenate(tiles)
         assert (np.sort(rows, axis=1) == np.arange(6)).all()
