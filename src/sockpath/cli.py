@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
 import os
@@ -215,6 +214,13 @@ def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str
     return texts
 
 
+def _json(value: object) -> str:
+    """``json.dumps(value, indent=2)``; json loads only for the commands that write it."""
+    import json
+
+    return json.dumps(value, indent=2)
+
+
 def _stream_json(
     head: dict, rows: Iterable[str], metadata: Callable[[], dict]
 ) -> None:
@@ -225,12 +231,12 @@ def _stream_json(
     empty.
     """
     out = sys.stdout  # looked up per call: callers may redirect stdout
-    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [\n')
+    out.write(_json(head)[:-2] + ',\n  "rows": [\n')
     rows = iter(rows)
     out.write(next(rows))
     for row in rows:
         out.write(",\n" + row)
-    tail = json.dumps(metadata(), indent=2).replace("\n", "\n  ")
+    tail = _json(metadata()).replace("\n", "\n  ")
     out.write('\n  ],\n  "metadata": ' + tail + "\n}\n")
 
 
@@ -487,7 +493,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             payload[name] = str(value)
             payload[f"{name}_decimal"] = format_decimal(value, precision)
         payload["metadata"] = {"precision": precision}
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         # the moments follow the heights as rows of the same shape
         out = sys.stdout

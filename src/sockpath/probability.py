@@ -34,9 +34,8 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import KTuple, _check_cap, _walk, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
@@ -139,16 +138,42 @@ def _count_rows(n: int) -> Iterator[tuple[KTuple, int]]:
         yield from [(ktuple(pre + a), product * c) for a, c in block]
 
 
-@dataclass(frozen=True)
 class DistributionTable:
     """Exact law of the process at order ``n``: every valid tuple with its probability.
 
     Entries are keyed in lexicographic tuple order; they number
-    ``catalan(n)`` and sum exactly to 1. Treat as immutable once built.
+    ``catalan(n)`` and sum exactly to 1. Attributes are read-only, and
+    the ``entries`` dict is to be treated as immutable once built.
     """
+
+    # A small slotted class, not a tuple: len, [] and iteration are the
+    # table's, not its two fields'.
+    __slots__ = ("n", "entries")
 
     n: int
     entries: dict[KTuple, Fraction]
+
+    def __init__(self, n: int, entries: dict[KTuple, Fraction]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, not the blocked setattr
+        return DistributionTable, (self.n, self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"DistributionTable(n={self.n!r}, entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,8 +207,7 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     return DistributionTable(n=n, entries=entries)
 
 
-@dataclass(frozen=True)
-class MarginalStat:
+class MarginalStat(NamedTuple):
     """Exact law and moments of the table count after one fixed draw.
 
     ``law`` maps each reachable height to its probability; reachable

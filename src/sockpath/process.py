@@ -44,8 +44,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -156,8 +154,7 @@ class SockSequence(tuple):
         return len(self) // 2
 
 
-@dataclass(frozen=True)
-class ProcessTrace:
+class ProcessTrace(NamedTuple):
     """Full record of one sorting run: the draw order, its path, its tuple."""
 
     omega: SockSequence
@@ -250,18 +247,22 @@ def _path_codes(perm: np.ndarray) -> np.ndarray:
     return _walk(types, _state_dtype(perm.shape[1] // 2))
 
 
-def _decode_code(code: int) -> KTuple:
-    # After the last up-step (highest set bit) only down-steps remain.
-    ks: list[int] = []
-    height = 0
-    while code or height:
-        if code & 1:
-            height += 1
-        else:
-            ks.append(height)
-            height -= 1
-        code >>= 1
-    return KTuple._trusted(tuple(ks))
+def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
+    """The tuples of a batch of ``2n``-bit path codes, in the batch's order.
+
+    Each code's bits become a row of steps, ``+1`` up and ``-1`` down; a
+    row's running sum is the table height after each draw, and a
+    down-step's entry is the height before it, one more than after. Every
+    row has ``n`` down-steps, the last draw among them, whose bit the walk
+    leaves clear. Rows are int8, as heights never pass ``n <= 31``.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    up = np.empty((len(codes), 2 * n), dtype=np.int8)
+    for i in range(2 * n):
+        up[:, i] = (codes >> i) & 1
+    after = np.cumsum(2 * up - 1, axis=1, dtype=np.int8)
+    ks = (after + 1)[up == 0].reshape(-1, n)
+    return list(map(KTuple._trusted, ks.tolist()))
 
 
 def _tally_codes(codes: np.ndarray) -> Counter:
@@ -275,6 +276,10 @@ def _run_chunks(tally: Callable[..., Counter], chunks: Iterable, workers: int) -
     workers = min(workers, os.cpu_count() or 1)
     total: Counter = Counter()
     if workers > 1:
+        # Imported here: the pool's module loads logging and queue, which
+        # a one-worker run never uses.
+        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
         # Submit a chunk only when one finishes: a future per chunk held
         # up front would grow with the chunk count, not the worker count.
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -377,15 +382,19 @@ def brute_force_counts(
     prefixes = itertools.permutations(range(size), size - m)
     blocks = iter(lambda: list(itertools.islice(prefixes, _PREFIX_BLOCK)), [])
     tally = _run_chunks(lambda block: _tally_block(block, suffixes), blocks, workers)
-    return dict(sorted((_decode_code(code), count) for code, count in tally.items()))
+    return dict(sorted(zip(_decode_codes(list(tally), n), tally.values())))
 
 
 # ----------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationReport:
+# (2n)! once per n, not once per row of a report's deviation walk: a
+# report is a named tuple, with no room to cache it.
+_orderings = functools.cache(lambda n: math.factorial(2 * n))
+
+
+class SimulationReport(NamedTuple):
     """Outcome of a Monte Carlo run: the tallies of the tuples hit.
 
     ``hits`` maps each tuple some trial realized to its trial count, in
@@ -409,11 +418,7 @@ class SimulationReport:
 
     def deviation(self, hit: int, count: int) -> int:
         """``|hit/trials - count/(2n)!|`` as its numerator over ``trials * (2n)!``."""
-        return abs(hit * self._orderings - count * self.trials)
-
-    @functools.cached_property
-    def _orderings(self) -> int:
-        return math.factorial(2 * self.n)
+        return abs(hit * _orderings(self.n) - count * self.trials)
 
     @property
     def empirical(self) -> dict[KTuple, int]:
@@ -423,7 +428,7 @@ class SimulationReport:
     @property
     def max_abs_deviation(self) -> Fraction:
         worst = max(self.deviation(hit, count) for _, hit, count in self.rows())
-        return Fraction(worst, self.trials * self._orderings)
+        return Fraction(worst, self.trials * _orderings(self.n))
 
 
 def monte_carlo(
@@ -470,5 +475,6 @@ def monte_carlo(
     chunks = -(-trials // _CHUNK_ROWS)
     tally = _run_chunks(tally_chunk, range(chunks), min(workers, chunks))
     # sorted by code, since with several workers chunks finish in any order
-    hits = {_decode_code(code): tally[code] for code in sorted(tally)}
+    codes = sorted(tally)
+    hits = dict(zip(_decode_codes(codes, n), map(tally.get, codes)))
     return SimulationReport(n, trials, seed, hits)

@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for sock-sorting objects, and a peak-RSS probe."""
+"""Shared hypothesis strategies for sock-sorting objects, a peak-RSS probe and a record check."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -34,6 +35,21 @@ def peak_rss_kb(code: str, *argv: str) -> int:
     )
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+def assert_record(record, text: str, **fields) -> None:
+    """``record`` equals the record rebuilt from ``fields`` and its copy,
+    prints as ``text``, and refuses assignment to every field."""
+    assert record == type(record)(**fields) == copy.copy(record)
+    assert repr(record) == text
+    for name, value in fields.items():
+        try:
+            setattr(record, name, None)
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError(f"{name} of {type(record).__name__} was assigned")
+        assert getattr(record, name) == value
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -669,7 +670,8 @@ class TestWorkers:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(process, "ThreadPoolExecutor", SpyExecutor)
+        # the pool is imported where it is started, from its own module
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(process, "_PREFIX_BLOCK", 5)
         monkeypatch.setattr(process, "_CHUNK_ROWS", 100)
@@ -691,22 +693,54 @@ class TestWorkers:
 
 
 class TestLazyNumpy:
-    def test_exact_commands_do_not_import_numpy(self):
+    # Each check runs its commands in a fresh process and sees only the
+    # modules new after ``import sockpath.cli`` and the commands, so a
+    # site that preloads some cannot fail it.
+    @staticmethod
+    def new_modules(*argvs):
         code = (
-            "import sys, sockpath.cli\n"
-            "for argv in (['prob', '2,1'], ['path', '2,1'], ['ktuple', '1,2,1,0'],\n"
-            "             ['table', '3'], ['stats', '3', '--k', '2'],\n"
-            "             ['stats', '3', '--what', 'max']):\n"
-            "    assert sockpath.cli.main(argv) == 0, argv\n"
-            "assert 'numpy' not in sys.modules\n"
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import contextlib, io, sockpath.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert sockpath.cli.main(argv) == 0, argv\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
         src = Path(sockpath.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
+        env["PYTHONPATH"] = str(src)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_exact_commands_do_not_import_numpy(self):
+        # nor the record, serializer and thread-pool modules they never use
+        new = self.new_modules(
+            ["prob", "2,1"], ["path", "2,1"], ["ktuple", "1,2,1,0"],
+            ["table", "3"], ["stats", "3", "--k", "2"], ["stats", "3", "--what", "max"],
+        )
+        assert "sockpath.probability" in new
+        for module in ("numpy", "dataclasses", "inspect", "json", "concurrent.futures"):
+            assert module not in new, module
+
+    def test_json_commands_load_json_but_not_dataclasses(self):
+        for argv in (["table", "3", "--format", "json"],
+                     ["stats", "3", "--what", "max", "--format", "json"]):
+            new = self.new_modules(argv)
+            assert "json" in new, argv
+            assert "dataclasses" not in new, argv
+
+    def test_one_worker_runs_load_no_thread_pool(self):
+        # numpy loads inspect itself, so nothing is asserted about it
+        for argv in (["verify", "1"], ["simulate", "1", "--trials", "1"]):
+            new = self.new_modules(argv)
+            assert "sockpath.process" in new, argv
+            assert "concurrent.futures" not in new, argv
+            assert "logging" not in new, argv
 
     def test_star_import_and_attribute_access_load_process(self):
         namespace: dict = {}

@@ -34,7 +34,7 @@ from sockpath import core
 from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _rows
 from sockpath.probability import _count_rows
 
-from conftest import valid_ktuples
+from conftest import assert_record, valid_ktuples
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +210,18 @@ class TestFullDistribution:
 
     def test_n2(self):
         table = full_distribution(2)
-        assert table.entries == {
-            KTuple((1, 1)): Fraction(1, 3),
-            KTuple((2, 1)): Fraction(2, 3),
-        }
+        entries = {KTuple((1, 1)): Fraction(1, 3), KTuple((2, 1)): Fraction(2, 3)}
+        assert table.entries == entries
         assert table[(2, 1)] == Fraction(2, 3)
+        assert len(table) == 2
+        assert list(table) == [KTuple((1, 1)), KTuple((2, 1))]
+        assert table != full_distribution(1)
+        assert_record(
+            table,
+            "DistributionTable(n=2, entries={KTuple((1, 1)): Fraction(1, 3), "
+            "KTuple((2, 1)): Fraction(2, 3)})",
+            n=2, entries=entries,
+        )
 
     def test_n5(self):
         table = full_distribution(5)
@@ -372,6 +379,13 @@ class TestMarginals:
         assert stat.law == {0: Fraction(1, 3), 2: Fraction(2, 3)}
         assert stat.mean == Fraction(4, 3)
         assert stat.variance == Fraction(8, 9)
+        assert_record(
+            stat,
+            "MarginalStat(n=2, k=2, law={0: Fraction(1, 3), 2: Fraction(2, 3)}, "
+            "mean=Fraction(4, 3), variance=Fraction(8, 9))",
+            n=2, k=2, law={0: Fraction(1, 3), 2: Fraction(2, 3)},
+            mean=Fraction(4, 3), variance=Fraction(8, 9),
+        )
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_boundary_point_masses(self, n):

@@ -1,5 +1,6 @@
 """Draw simulation, brute-force oracle, Monte Carlo engine."""
 
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 
 from sockpath import (
+    DyckPath,
     KTuple,
     MalformedInputError,
     ResourceLimitError,
@@ -31,9 +33,9 @@ from sockpath import (
     tuple_probability,
 )
 from sockpath import process
-from sockpath.process import _decode_code, _path_codes, _run_chunks, _tally_codes
+from sockpath.process import _decode_codes, _path_codes, _run_chunks, _tally_codes
 
-from conftest import peak_rss_kb, sock_orders
+from conftest import assert_record, peak_rss_kb, sock_orders
 
 
 class TestRunProcess:
@@ -49,6 +51,15 @@ class TestRunProcess:
         trace = run_process(draws)
         assert tuple(trace.path) == path
         assert tuple(trace.tuple) == ktuple
+        omega = SockSequence(draws)
+        assert_record(
+            trace,
+            f"ProcessTrace(omega={omega!r}, path=DyckPath({path!r}), "
+            f"tuple=KTuple({ktuple!r}))",
+            omega=omega, path=DyckPath(path), tuple=KTuple(ktuple),
+        )
+        # a named tuple: it unpacks and equals the plain tuple of its fields
+        assert trace == (omega, path, ktuple)
 
     @pytest.mark.parametrize(
         "draws",
@@ -111,7 +122,7 @@ class TestRunProcess:
         # the vectorized walk, decoded, against the reference process
         expected = run_process(draws).tuple
         ids = np.array([[2 * (s.sock_type - 1) + s.side for s in draws]], dtype=np.int8)
-        assert _decode_code(int(_path_codes(ids)[0])) == expected
+        assert _decode_codes(_path_codes(ids), len(draws) // 2) == [expected]
 
     @pytest.mark.parametrize("n,dtype", [(15, np.int32), (16, np.int64), (31, np.int64)])
     def test_path_codes_across_the_dtype_switch(self, n, dtype):
@@ -122,9 +133,11 @@ class TestRunProcess:
         ids = rng.permuted(np.broadcast_to(sock_ids, (300, 2 * n)), axis=1)
         codes = _path_codes(ids)
         assert codes.dtype == dtype
-        for row, code in zip(ids.tolist(), codes.tolist()):
+        decoded = _decode_codes(codes, n)
+        assert len(decoded) == len(ids)
+        for row, t in zip(ids.tolist(), decoded):
             draws = [(i // 2 + 1, i % 2) for i in row]
-            assert _decode_code(code) == run_process(draws).tuple
+            assert t == run_process(draws).tuple
 
     @given(sock_orders(max_n=4))
     def test_first_appearance_relabeling(self, draws):
@@ -348,7 +361,8 @@ class TestRunChunks:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(process, "ThreadPoolExecutor", SpyExecutor)
+        # the pool is imported where it is started, from its own module
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert monte_carlo(3, 1_000, seed=3, workers=64) == base
         assert sizes == [2]
@@ -379,6 +393,12 @@ class TestMonteCarlo:
         tally = {KTuple((1, 1, 1)): 3, KTuple((1, 2, 1)): 4,
                  KTuple((2, 1, 1)): 4, KTuple((2, 2, 1)): 4}
         reports.append(process.SimulationReport(3, 15, 0, tally))
+        assert_record(
+            reports[-1],
+            "SimulationReport(n=3, trials=15, seed=0, hits={KTuple((1, 1, 1)): 3, "
+            "KTuple((1, 2, 1)): 4, KTuple((2, 1, 1)): 4, KTuple((2, 2, 1)): 4})",
+            n=3, trials=15, seed=0, hits=tally,
+        )
         for report in reports:
             n, trials = report.n, report.trials
             assert sum(report.hits.values()) == trials
