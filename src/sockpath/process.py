@@ -32,8 +32,10 @@ Both engines build each chunk inside the worker that tallies it, and a
 chunk is handed to a worker only when one is free, so no more than
 ``workers`` chunks are held at once. The worker count is clamped to the
 CPU count here, and nowhere else. Both walk with int32 state while the
-``2n``-bit path code fits (``n <= 15``, so all of brute force), and with
-int64 past that.
+path code fits (``n <= 15``, so all of brute force), and with int64 past
+that. A code holds the first draw in its highest bit, so codes sort as
+their tuples do, and both engines return their tallies in lexicographic
+order through one helper, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -216,50 +218,51 @@ def _state_dtype(n: int) -> type:
 def _walk(types: Iterable[np.ndarray], dtype: type) -> np.ndarray:
     """Run a batch of walks from an empty table; return their path codes.
 
-    Item ``i`` of ``types`` holds draw ``i``'s pair type for every walk,
-    and bit ``i`` of a code is set when draw ``i`` is an up-step, that is,
-    the first sock of its type. Each walk's mask of types drawn so far
-    (``seen``) and its code are kept as ``dtype``. Both callers leave out
-    the last draw, which always completes a pair. An item may broadcast
-    against the state so far: brute force walks its suffix draws as a
-    tree, and each suffix draw adds a leading axis that branches every
-    node into its children.
+    Item ``i`` of ``types`` holds draw ``i``'s pair type for every walk.
+    Each draw shifts the code left and sets its low bit for an up-step,
+    the first sock of its type, so codes order as their paths do:
+    lexicographically. Each walk's mask of types drawn so far (``seen``)
+    and its code are kept as ``dtype``. Both callers leave out the last
+    draw, which always completes a pair. An item may broadcast against
+    the state so far: brute force walks its suffix draws as a tree, and
+    each suffix draw adds a leading axis that branches every node.
     """
     seen = code = bit = 0
-    for step, row in enumerate(types):
+    for row in types:
         # A draw's bit joins seen at the next step, so no pass is spent
         # on the last one.
         seen = seen | bit
         bit = np.left_shift(1, row, dtype=dtype)
-        code = code | ((seen & bit) == 0).astype(dtype) << step
+        # astype: OR-ing a bool array into the codes doubles brute force's time
+        code = code << 1 | ((seen & bit) == 0).astype(dtype)
     return code
 
 
 def _path_codes(perm: np.ndarray) -> np.ndarray:
     """Run the table process on a batch of sock-id rows.
 
-    Returns one integer per row: bit ``i`` is set when draw ``i`` is an
-    up-step. The code has ``2n`` bits, so it is valid for
-    ``n <= _MAX_PATH_N``; it is int32 while ``2n <= 31`` and int64 past
-    that. The last draw always completes a pair, so it is not walked.
+    Returns one integer per row: bit ``2n - 2 - i`` is set when draw
+    ``i`` is an up-step. The last draw always completes a pair, so it is
+    not walked and the code has ``2n - 1`` bits. It is valid for
+    ``n <= _MAX_PATH_N``, int32 while ``2n <= 31`` and int64 past that.
     """
     types = (perm[:, :-1] >> 1).T.copy()
     return _walk(types, _state_dtype(perm.shape[1] // 2))
 
 
 def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
-    """The tuples of a batch of ``2n``-bit path codes, in the batch's order.
+    """The tuples of a batch of path codes, in the batch's order.
 
-    Each code's bits become a row of steps, ``+1`` up and ``-1`` down; a
-    row's running sum is the table height after each draw, and a
-    down-step's entry is the height before it, one more than after. Every
-    row has ``n`` down-steps, the last draw among them, whose bit the walk
-    leaves clear. Rows are int8, as heights never pass ``n <= 31``.
+    Draw ``i`` is an up-step, ``+1``, when bit ``2n - 2 - i`` is set, and
+    a down-step, ``-1``, when not; the last draw, which the walk leaves
+    out, is always one. A row's running sum is the table height after
+    each draw, and a down-step's entry is the height before it, one more
+    than after. Rows are int8, as heights never pass ``n <= 31``.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    up = np.empty((len(codes), 2 * n), dtype=np.int8)
-    for i in range(2 * n):
-        up[:, i] = (codes >> i) & 1
+    up = np.zeros((len(codes), 2 * n), dtype=np.int8)
+    for i in range(2 * n - 1):
+        up[:, i] = (codes >> (2 * n - 2 - i)) & 1
     after = np.cumsum(2 * up - 1, axis=1, dtype=np.int8)
     ks = (after + 1)[up == 0].reshape(-1, n)
     return list(map(KTuple._trusted, ks.tolist()))
@@ -270,10 +273,20 @@ def _tally_codes(codes: np.ndarray) -> Counter:
     return Counter(dict(zip(values.tolist(), counts.tolist())))
 
 
+def _tally_table(tally: Counter, n: int) -> dict[KTuple, int]:
+    # Sorted codes decode to lexicographic tuples, in whatever order chunks finished.
+    codes = sorted(tally)
+    return dict(zip(_decode_codes(codes, n), map(tally.get, codes)))
+
+
 def _run_chunks(tally: Callable[..., Counter], chunks: Iterable, workers: int) -> Counter:
     # Each chunk is built from its spec inside the worker that tallies it.
-    # One thread per chunk in flight, never more than the CPUs.
-    workers = min(workers, os.cpu_count() or 1)
+    # One thread per chunk in flight, never more than the CPUs, and a run
+    # of one chunk stays in this thread.
+    chunks = iter(chunks)
+    first = list(itertools.islice(chunks, 2))
+    chunks = itertools.chain(first, chunks)
+    workers = min(workers, os.cpu_count() or 1) if len(first) > 1 else 1
     total: Counter = Counter()
     if workers > 1:
         # Imported here: the pool's module loads logging and queue, which
@@ -382,7 +395,7 @@ def brute_force_counts(
     prefixes = itertools.permutations(range(size), size - m)
     blocks = iter(lambda: list(itertools.islice(prefixes, _PREFIX_BLOCK)), [])
     tally = _run_chunks(lambda block: _tally_block(block, suffixes), blocks, workers)
-    return dict(sorted(zip(_decode_codes(list(tally), n), tally.values())))
+    return _tally_table(tally, n)
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +410,11 @@ _orderings = functools.cache(lambda n: math.factorial(2 * n))
 class SimulationReport(NamedTuple):
     """Outcome of a Monte Carlo run: the tallies of the tuples hit.
 
-    ``hits`` maps each tuple some trial realized to its trial count, in
-    an order set by the tuples alone, whatever the worker count; the
-    counts sum to ``trials``. :meth:`rows` pairs every valid tuple with
-    its hits and its ordering count, and :meth:`deviation` gives a row's
-    distance from the exact law as one integer over ``trials * (2n)!``.
+    ``hits`` maps each tuple some trial realized to its trial count,
+    lexicographically, whatever the worker count; the counts sum to
+    ``trials``. :meth:`rows` pairs every valid tuple with its hits and
+    its ordering count, and :meth:`deviation` gives a row's distance
+    from the exact law as one integer over ``trials * (2n)!``.
     ``empirical`` and ``max_abs_deviation`` walk the rows on each access.
     """
 
@@ -427,6 +440,7 @@ class SimulationReport(NamedTuple):
 
     @property
     def max_abs_deviation(self) -> Fraction:
+        """The largest :meth:`deviation` over the rows, as a Fraction."""
         worst = max(self.deviation(hit, count) for _, hit, count in self.rows())
         return Fraction(worst, self.trials * _orderings(self.n))
 
@@ -448,8 +462,8 @@ def monte_carlo(
     therefore a deterministic function of ``(n, trials, seed)`` alone:
     ``workers`` only bounds how many chunks run at once, and never
     changes the result. The report keeps only the tallies of the tuples
-    hit, and comparing them with the exact law walks the rows, which the
-    cap bounds. Whatever the cap, ``n`` above 31 raises
+    hit, in lexicographic order; comparing them with the exact law walks
+    the rows, which the cap bounds. Whatever the cap, ``n`` above 31 raises
     :class:`ResourceLimitError`, since a run's path code must fit 64 bits.
     """
     _require_positive_int("trials", trials)
@@ -471,10 +485,5 @@ def monte_carlo(
         tile = rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
         return _tally_codes(_path_codes(tile))
 
-    # A run of one chunk stays in this thread, as with one worker.
-    chunks = -(-trials // _CHUNK_ROWS)
-    tally = _run_chunks(tally_chunk, range(chunks), min(workers, chunks))
-    # sorted by code, since with several workers chunks finish in any order
-    codes = sorted(tally)
-    hits = dict(zip(_decode_codes(codes, n), map(tally.get, codes)))
-    return SimulationReport(n, trials, seed, hits)
+    tally = _run_chunks(tally_chunk, range(-(-trials // _CHUNK_ROWS)), workers)
+    return SimulationReport(n, trials, seed, _tally_table(tally, n))

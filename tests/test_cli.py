@@ -443,6 +443,16 @@ class TestSimulate:
         assert code == 2
 
     def test_max_deviation_counts_missed_rows(self, cli, monkeypatch):
+        # the CLI's maximum is the report's, over every row
+        for n in range(1, 10):
+            for seed in (0, 7):
+                report = sockpath.monte_carlo(n, 1_000, seed)
+                code, out, _ = cli("simulate", str(n), "--trials", "1000",
+                                   "--seed", str(seed), "--format", "json")
+                assert code == 0
+                metadata = json.loads(out)["metadata"]
+                assert metadata["max_abs_deviation"] == str(report.max_abs_deviation)
+
         def reporting(tally):
             # monte_carlo as simulate calls it, reporting the given tally
             return lambda n, trials, seed, **kwargs: process.SimulationReport(
@@ -465,6 +475,26 @@ class TestSimulate:
         code, out, _ = cli("simulate", "3", "--trials", "9", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
+        # The largest deviation, 1/15, on the hit row (2,1,1,1). Its count,
+        # 768, is that of (1,1,2,1) and (1,2,1,1) before it, which share
+        # the pair (3 hits, 768); the missed (1,1,1,1) deviates by 1/105.
+        tally = {KTuple((1, 1, 2, 1)): 3, KTuple((1, 2, 1, 1)): 3,
+                 KTuple((1, 2, 2, 1)): 4, KTuple((1, 3, 2, 1)): 6,
+                 KTuple((2, 1, 1, 1)): 9, KTuple((2, 1, 2, 1)): 4,
+                 KTuple((2, 2, 1, 1)): 4, KTuple((2, 2, 2, 1)): 8,
+                 KTuple((2, 3, 2, 1)): 12, KTuple((3, 2, 1, 1)): 6,
+                 KTuple((3, 2, 2, 1)): 12, KTuple((3, 3, 2, 1)): 16,
+                 KTuple((4, 3, 2, 1)): 18}
+        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
+        code, out, _ = cli("simulate", "4", "--trials", "105", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metadata"]["max_abs_deviation"] == "1/15"
+        for row in payload["rows"]:
+            t = KTuple(tuple(row["tuple"]))
+            assert row["count"] == tally.get(t, 0), t
+            prob = sockpath.tuple_probability(t)
+            assert Fraction(row["abs_deviation"]) == abs(Fraction(row["count"], 105) - prob)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n,trials,all_hit", [(9, 200, False), (4, 100_000, True)])
@@ -697,7 +727,7 @@ class TestLazyNumpy:
     # modules new after ``import sockpath.cli`` and the commands, so a
     # site that preloads some cannot fail it.
     @staticmethod
-    def new_modules(*argvs):
+    def new_modules(*argvs, threads=None):
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -710,6 +740,8 @@ class TestLazyNumpy:
         src = Path(sockpath.__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
         env["PYTHONPATH"] = str(src)
+        if threads is not None:
+            env["SOCKPATH_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             timeout=60,
@@ -735,9 +767,12 @@ class TestLazyNumpy:
             assert "dataclasses" not in new, argv
 
     def test_one_worker_runs_load_no_thread_pool(self):
-        # numpy loads inspect itself, so nothing is asserted about it
-        for argv in (["verify", "1"], ["simulate", "1", "--trials", "1"]):
-            new = self.new_modules(argv)
+        # numpy loads inspect itself, so nothing is asserted about it. Runs
+        # of one chunk stay in the calling thread whatever the worker count.
+        runs = [(["verify", "1"], None), (["simulate", "1", "--trials", "1"], None),
+                (["verify", "4"], "2"), (["simulate", "5", "--trials", "1000"], "2")]
+        for argv, threads in runs:
+            new = self.new_modules(argv, threads=threads)
             assert "sockpath.process" in new, argv
             assert "concurrent.futures" not in new, argv
             assert "logging" not in new, argv

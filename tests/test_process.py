@@ -274,6 +274,8 @@ class TestBruteForce:
         for workers in (1, 2, 4):
             counts = brute_force_counts(4, workers=workers)
             assert list(counts.items()) == list(whole.items())
+            # lexicographic, from the sorted path codes
+            assert list(counts) == sorted(counts)
 
     def test_prefix_blocks_are_lazy(self, monkeypatch):
         # n = 10 has 20!/7! prefixes; the first block of 99 must not
@@ -381,6 +383,11 @@ class TestMonteCarlo:
         two = monte_carlo(3, 40_000, seed=42, workers=2)
         four = monte_carlo(3, 40_000, seed=42, workers=4)
         assert base == again == two == four
+        # hits are lexicographic, whatever the worker count
+        for n in (3, 4, 5, 11):
+            for workers in (1, 2, 4):
+                report = monte_carlo(n, 20_000, seed=7, workers=workers)
+                assert list(report.hits) == sorted(report.hits), (n, workers)
 
     def test_counts_and_comparison_consistent(self):
         # n = 1..9 over three seeds, the first run of this test, and the
@@ -437,6 +444,8 @@ class TestMonteCarlo:
             report = monte_carlo(11, 5_000, seed=9, workers=workers)
             # chunks finish in any order, the hits keep theirs
             assert report == base and list(report.hits) == list(base.hits)
+        # which is lexicographic
+        assert list(base.hits) == sorted(base.hits)
 
     def test_chunks_draw_independent_streams(self, monkeypatch):
         # one trial per chunk: chunks sharing a stream would all repeat
