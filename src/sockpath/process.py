@@ -26,7 +26,9 @@ Two verification engines live here:
   sock ids. Trials are cut into fixed chunks of at most 500,000 rows,
   and chunk ``i`` draws from its own counter-based stream,
   ``Philox(key=seed)`` jumped ``i`` times, so reports are bit-identical
-  for any worker count.
+  for any worker count. A chunk is shuffled and walked a tile of at most
+  ``_TILE_ITEMS`` sock ids at a time, each tile continuing the chunk's
+  stream, and a tally is decoded a tile at a time too.
 
 Both engines build each chunk inside the worker that tallies it, and a
 chunk is handed to a worker only when one is free, so no more than
@@ -215,6 +217,15 @@ def _state_dtype(n: int) -> type:
     return np.int32 if 2 * n <= 31 else np.int64
 
 
+# Most sock ids (or decoded steps) a tile holds: 512 KB of intp. Monte
+# Carlo shuffles and walks a chunk, and decodes a tally, a tile at a time.
+_TILE_ITEMS = 1 << 16
+
+
+def _tile_rows(n: int) -> int:
+    return max(1, _TILE_ITEMS // (2 * n))
+
+
 def _walk(types: Iterable[np.ndarray], dtype: type) -> np.ndarray:
     """Run a batch of walks from an empty table; return their path codes.
 
@@ -245,8 +256,10 @@ def _path_codes(perm: np.ndarray) -> np.ndarray:
     ``i`` is an up-step. The last draw always completes a pair, so it is
     not walked and the code has ``2n - 1`` bits. It is valid for
     ``n <= _MAX_PATH_N``, int32 while ``2n <= 31`` and int64 past that.
+    Ids of any integer dtype are walked as int8 types; Monte Carlo passes
+    one tile of at most ``_TILE_ITEMS`` ids at a time.
     """
-    types = (perm[:, :-1] >> 1).T.copy()
+    types = perm[:, :-1].T.astype(np.int8) >> 1
     return _walk(types, _state_dtype(perm.shape[1] // 2))
 
 
@@ -257,15 +270,22 @@ def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
     a down-step, ``-1``, when not; the last draw, which the walk leaves
     out, is always one. A row's running sum is the table height after
     each draw, and a down-step's entry is the height before it, one more
-    than after. Rows are int8, as heights never pass ``n <= 31``.
+    than after. Rows are int8, as heights never pass ``n <= 31``, and are
+    decoded ``_TILE_ITEMS // (2n)`` codes at a time, so the step matrices
+    stay a tile's size however many codes there are.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    up = np.zeros((len(codes), 2 * n), dtype=np.int8)
-    for i in range(2 * n - 1):
-        up[:, i] = (codes >> (2 * n - 2 - i)) & 1
-    after = np.cumsum(2 * up - 1, axis=1, dtype=np.int8)
-    ks = (after + 1)[up == 0].reshape(-1, n)
-    return list(map(KTuple._trusted, ks.tolist()))
+    tuples: list[KTuple] = []
+    step = _tile_rows(n)
+    for start in range(0, len(codes), step):
+        block = codes[start:start + step]
+        up = np.zeros((len(block), 2 * n), dtype=np.int8)
+        for i in range(2 * n - 1):
+            up[:, i] = (block >> (2 * n - 2 - i)) & 1
+        after = np.cumsum(2 * up - 1, axis=1, dtype=np.int8)
+        ks = (after + 1)[up == 0].reshape(-1, n)
+        tuples.extend(map(KTuple._trusted, ks.tolist()))
+    return tuples
 
 
 def _tally_codes(codes: np.ndarray) -> Counter:
@@ -313,7 +333,8 @@ def _run_chunks(tally: Callable[..., Counter], chunks: Iterable, workers: int) -
     return total
 
 
-# Most rows a chunk holds, in both engines.
+# Most rows a chunk holds, in both engines. Monte Carlo shuffles and
+# walks a chunk a tile of at most _TILE_ITEMS sock ids at a time.
 _CHUNK_ROWS = 500_000
 
 # Brute force permutes the last _SUFFIX_LEN sock ids through one table of
@@ -457,8 +478,11 @@ def monte_carlo(
 
     Trials are cut into fixed chunks of at most 500,000 rows. Chunk
     ``i`` draws from ``Generator(Philox(key=seed).jumped(i))``, which
-    shuffles each row of a ``(rows, 2n)`` tile of sock ids independently,
-    and the shuffled rows run through the vectorized walk. The report is
+    shuffles each row of sock ids independently, a tile of at most
+    ``_TILE_ITEMS`` ids at a time, and each tile's rows run through the
+    vectorized walk; the chunk keeps one path code per row. The tiles
+    continue one stream, so they draw what one shuffle of the whole
+    chunk would, and the tally is decoded a tile at a time. The report is
     therefore a deterministic function of ``(n, trials, seed)`` alone:
     ``workers`` only bounds how many chunks run at once, and never
     changes the result. The report keeps only the tallies of the tuples
@@ -477,13 +501,21 @@ def monte_carlo(
         ceiling=(_MAX_PATH_N, "a run's path code must fit 64 bits"),
     )
 
-    sock_ids = np.arange(2 * n, dtype=np.int8)
+    # Pointer-size ids take permuted's compiled swap; its draws depend
+    # only on the row length, so the permutations are an int8 tile's.
+    sock_ids = np.arange(2 * n, dtype=np.intp)
+    tile_rows = _tile_rows(n)
 
     def tally_chunk(index: int) -> Counter:
         rows = min(_CHUNK_ROWS, trials - index * _CHUNK_ROWS)
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-        tile = rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
-        return _tally_codes(_path_codes(tile))
+        codes = np.empty(rows, _state_dtype(n))
+        # Each tile continues the chunk's stream, row by row
+        for start in range(0, rows, tile_rows):
+            size = min(tile_rows, rows - start)
+            tile = rng.permuted(np.broadcast_to(sock_ids, (size, 2 * n)), axis=1)
+            codes[start:start + size] = _path_codes(tile)
+        return _tally_codes(codes)
 
     tally = _run_chunks(tally_chunk, range(-(-trials // _CHUNK_ROWS)), workers)
     return SimulationReport(n, trials, seed, _tally_table(tally, n))

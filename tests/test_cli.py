@@ -810,6 +810,20 @@ class TestBoundedMemory:
         large = self._peak_rss_kb("simulate", "2", "--trials", "4000000")
         assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
 
+    def test_simulate_holds_a_tile_not_a_chunk(self):
+        # 500,000-row chunks are shuffled and walked a tile at a time
+        small = self._peak_rss_kb("simulate", "5", "--trials", "1")
+        large = self._peak_rss_kb("simulate", "5", "--trials", "1000000")
+        assert large - small < 10 * 1024, f"peak RSS {small} KB -> {large} KB"
+
+    def test_wide_tally_decodes_a_tile_at_a_time(self):
+        # 100,000 nearly all distinct tuples of 31 entries: decoded all at
+        # once, their (100,000, 62) step matrices lift the peak near 135 MB
+        peak = peak_rss_kb(
+            "import sockpath as sp; sp.monte_carlo(31, 100_000, 1, cap=31)"
+        )
+        assert peak < 100 * 1024, f"peak RSS {peak} KB"
+
     def test_table_memory_does_not_grow_with_rows(self):
         # 132 rows against 58,786: rows are written, not held
         small = self._peak_rss_kb("table", "6", "--format", "json", "--sort", "lex")

@@ -455,6 +455,26 @@ class TestMonteCarlo:
         freq = Fraction(report.hits[KTuple((2, 1))], 3_000)
         assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+    def test_tiles_continue_each_chunk_stream(self, monkeypatch, n):
+        # Chunks of 700 rows in tiles of 64 ids: several tiles a chunk, a
+        # partial last one, and n = 16 takes the int64 walk. The reference
+        # restates the sampler untiled: one int8 tile per chunk, shuffled
+        # from Philox(key=seed).jumped(i), each row run through run_process.
+        monkeypatch.setattr(process, "_CHUNK_ROWS", 700)
+        monkeypatch.setattr(process, "_TILE_ITEMS", 64)
+        trials, seed = 2_003, 5
+        sock_ids = np.arange(2 * n, dtype=np.int8)
+        expected = Counter()
+        for index, start in enumerate(range(0, trials, 700)):
+            rows = min(700, trials - start)
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+            tile = rng.permuted(np.broadcast_to(sock_ids, (rows, 2 * n)), axis=1)
+            for row in tile.tolist():
+                expected[run_process([(i // 2 + 1, i % 2) for i in row]).tuple] += 1
+        hits = monte_carlo(n, trials, seed, cap=n).hits
+        assert list(hits.items()) == sorted(expected.items())
+
     def test_report_memory_is_bounded_at_the_cap(self):
         # The report holds only the tuples hit: at n = 14, the default
         # cap, ten at most, and n = 13's largest deviation walks its
