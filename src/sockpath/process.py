@@ -33,11 +33,13 @@ Two verification engines live here:
 Both engines build each chunk inside the worker that tallies it, and a
 chunk is handed to a worker only when one is free, so no more than
 ``workers`` chunks are held at once. The worker count is clamped to the
-CPU count here, and nowhere else. Both walk with int32 state while the
-path code fits (``n <= 15``, so all of brute force), and with int64 past
-that. A code holds the first draw in its highest bit, so codes sort as
-their tuples do, and both engines return their tallies in lexicographic
-order through one helper, whatever the worker count.
+CPU count here, and nowhere else. Both walk on the narrowest signed
+integer whose value bits hold ``2n``: int8 for ``n <= 3``, int16 for
+``n <= 7``, int32 for ``n <= 15`` and int64 up to ``n = 31``, so each
+pass moves as few bytes as the path code allows. A code holds the first
+draw in its highest bit, so codes sort as their tuples do, and both
+engines return their tallies in lexicographic order through one helper,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -212,9 +214,10 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
 # ----------------------------------------------------------------------
 
 def _state_dtype(n: int) -> type:
-    # A walk's seen mask has n bits and its path code 2n: int32 holds both
-    # while 2n <= 31, which covers all of brute force (n <= 10).
-    return np.int32 if 2 * n <= 31 else np.int64
+    # A walk's seen mask has n bits and its path code 2n - 1: both fit
+    # the narrowest signed integer whose value bits hold 2n.
+    widths = (np.int8, np.int16, np.int32, np.int64)
+    return next(t for t in widths if 2 * n < np.iinfo(t).bits)
 
 
 # Most sock ids (or decoded steps) a tile holds: 512 KB of intp. Monte
@@ -255,7 +258,7 @@ def _path_codes(perm: np.ndarray) -> np.ndarray:
     Returns one integer per row: bit ``2n - 2 - i`` is set when draw
     ``i`` is an up-step. The last draw always completes a pair, so it is
     not walked and the code has ``2n - 1`` bits. It is valid for
-    ``n <= _MAX_PATH_N``, int32 while ``2n <= 31`` and int64 past that.
+    ``n <= _MAX_PATH_N``, and its dtype is ``_state_dtype(n)``.
     Ids of any integer dtype are walked as int8 types; Monte Carlo passes
     one tile of at most ``_TILE_ITEMS`` ids at a time.
     """
@@ -289,6 +292,9 @@ def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
 
 
 def _tally_codes(codes: np.ndarray) -> Counter:
+    # unique sorts int8 codes about fifteen times slower than the same
+    # codes as int16 (numpy 2.4, x86-64), so one-byte codes are widened.
+    codes = codes.astype(np.promote_types(codes.dtype, np.int16), copy=False)
     values, counts = np.unique(codes, return_counts=True)
     return Counter(dict(zip(values.tolist(), counts.tolist())))
 

@@ -124,10 +124,23 @@ class TestRunProcess:
         ids = np.array([[2 * (s.sock_type - 1) + s.side for s in draws]], dtype=np.int8)
         assert _decode_codes(_path_codes(ids), len(draws) // 2) == [expected]
 
-    @pytest.mark.parametrize("n,dtype", [(15, np.int32), (16, np.int64), (31, np.int64)])
+    @pytest.mark.parametrize(
+        "n,dtype",
+        [
+            (1, np.int8),
+            (3, np.int8),
+            (4, np.int16),
+            (7, np.int16),
+            (8, np.int32),
+            (15, np.int32),
+            (16, np.int64),
+            (31, np.int64),
+        ],
+    )
     def test_path_codes_across_the_dtype_switch(self, n, dtype):
-        # int32 state while the 2n-bit code fits 31 bits, int64 up to the
-        # 64-bit limit at n = 31
+        # the narrowest state whose value bits hold 2n: int8 to n = 3,
+        # int16 to n = 7, int32 to n = 15, int64 up to the 64-bit limit
+        # at n = 31; each side of every switch
         sock_ids = np.arange(2 * n, dtype=np.int8)
         rng = np.random.default_rng(n)
         ids = rng.permuted(np.broadcast_to(sock_ids, (300, 2 * n)), axis=1)
@@ -203,6 +216,19 @@ def brute_force_chunks(monkeypatch, n, **kwargs):
         )
         brute_force_counts(n, **kwargs)
     return handed[0]
+
+
+def first_block_peak(monkeypatch, n):
+    """Peak traced bytes of tallying the first brute-force block of ``n``."""
+    tally, chunks = brute_force_chunks(monkeypatch, n, cap=n)
+    first = next(chunks)
+    tracemalloc.start()
+    try:
+        tally(first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestBruteForce:
@@ -291,9 +317,13 @@ class TestBruteForce:
         assert len(first) == 99
         assert peak < 1_000_000
 
-    # the middle of n = 6's 960 blocks, and the first block of n = 10,
-    # where seen and code use the most bits of their int32 state
-    @pytest.mark.parametrize("n,index", [(6, 480), (10, 0)])
+    # The first block of n = 4, the first int16 size (8 prefixes of one
+    # draw); the first of n = 7, where seen (7 bits) and code (13 bits)
+    # use the most of their int16 state; the middle of n = 6's 960
+    # blocks; and the first of n = 10, int32's fullest brute-force state.
+    # n = 7 takes its first block: stepping to a middle one of its
+    # 174,720 takes seconds.
+    @pytest.mark.parametrize("n,index", [(4, 0), (6, 480), (7, 0), (10, 0)])
     def test_full_blocks_match_the_plain_walk(self, monkeypatch, n, index):
         tally, chunks = brute_force_chunks(monkeypatch, n, cap=n)
         prefixes = next(itertools.islice(chunks, index, None))
@@ -306,20 +336,18 @@ class TestBruteForce:
             ],
             axis=1,
         )
-        assert rows.shape == (498_960, 2 * n)
+        # n = 4 has 8 prefixes in all, each later size a full block of 99
+        assert rows.shape == (min(99, math.perm(2 * n, 2 * n - 7)) * 5_040, 2 * n)
         assert tally(prefixes) == _tally_codes(_path_codes(rows))
 
     def test_block_memory_is_bounded(self, monkeypatch):
         # one n = 10 block walks 498,960 orderings of 20 draws
-        tally, chunks = brute_force_chunks(monkeypatch, 10, cap=10)
-        first = next(chunks)
-        tracemalloc.start()
-        try:
-            tally(first)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12_000_000
+        assert first_block_peak(monkeypatch, 10) < 12_000_000
+
+    def test_int16_block_memory_is_bounded(self, monkeypatch):
+        # one n = 7 block walks 498,960 orderings of 14 draws on int16
+        # state: about 5.0 MB, where int32 state peaks at 9.5 MB
+        assert first_block_peak(monkeypatch, 7) < 6_000_000
 
     def test_cap_suggests_monte_carlo(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -455,12 +483,14 @@ class TestMonteCarlo:
         freq = Fraction(report.hits[KTuple((2, 1))], 3_000)
         assert abs(freq - Fraction(2, 3)) < 5 * math.sqrt(2 / 9 / 3_000)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 11, 16])
     def test_tiles_continue_each_chunk_stream(self, monkeypatch, n):
         # Chunks of 700 rows in tiles of 64 ids: several tiles a chunk, a
-        # partial last one, and n = 16 takes the int64 walk. The reference
-        # restates the sampler untiled: one int8 tile per chunk, shuffled
-        # from Philox(key=seed).jumped(i), each row run through run_process.
+        # partial last one, and each side of every state width: n = 3 the
+        # last int8 walk, 4 and 7 the first and last int16, 8 the first
+        # int32 and 16 the first int64. The reference restates the sampler
+        # untiled: one int8 tile per chunk, shuffled from
+        # Philox(key=seed).jumped(i), each row run through run_process.
         monkeypatch.setattr(process, "_CHUNK_ROWS", 700)
         monkeypatch.setattr(process, "_TILE_ITEMS", 64)
         trials, seed = 2_003, 5
