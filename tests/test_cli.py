@@ -162,6 +162,12 @@ class TestProb:
         assert code == 2
         assert "'x'" in err
 
+    @pytest.mark.parametrize("literal,token", [("2,x", "x"), ("", "")])
+    def test_malformed_literal_message(self, cli, literal, token):
+        code, out, err = cli("prob", literal)
+        assert (code, out) == (2, "")
+        assert err == f"sockpath: invalid tuple entry {token!r}: expected a positive integer\n"
+
     def test_nonpositive_entry_is_usage_error(self, cli):
         code, _, err = cli("prob", "0,1")
         assert code == 2
@@ -307,8 +313,9 @@ class TestPath:
         assert "k_2" in err
 
     def test_malformed_exit_2(self, cli):
-        code, _, _ = cli("path", "a,b")
-        assert code == 2
+        code, out, err = cli("path", "a,b")
+        assert (code, out) == (2, "")
+        assert err == "sockpath: invalid tuple entry 'a': expected a positive integer\n"
 
 
 class TestKtuple:
@@ -333,6 +340,18 @@ class TestKtuple:
     def test_malformed_exit_2(self, cli):
         code, _, _ = cli("ktuple", "one,zero")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("1,a", "invalid path entry 'a': expected an integer height"),
+            (",,", "empty path literal"),
+        ],
+    )
+    def test_malformed_literal_message(self, cli, literal, message):
+        code, out, err = cli("ktuple", literal)
+        assert (code, out) == (2, "")
+        assert err == f"sockpath: {message}\n"
 
 
 class TestVerify:
@@ -785,6 +804,24 @@ class TestLazyNumpy:
         assert sockpath.monte_carlo is sockpath.process.monte_carlo
         with pytest.raises(AttributeError):
             sockpath.no_such_name
+
+    def test_import_binds_no_stray_public_name(self):
+        # a module star-imported without __all__ would leak its imports
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import sockpath\n"
+            "public = {name for name in vars(sockpath) if not name.startswith('_')}\n"
+            "print(' '.join(sorted(public - set(sockpath.__all__))))\n"
+            "print('numpy' in set(sys.modules) - before)\n"
+        )
+        src = Path(sockpath.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "core errors probability\nFalse\n"
 
     def test_public_name_lists_agree(self):
         # the package re-exports each module's __all__, and nothing else
