@@ -9,42 +9,29 @@ them, computes each outcome's exact rational probability, and verifies
 the law against exhaustive and Monte Carlo oracles.
 """
 
-from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    DyckPath,
-    KTuple,
-    catalan,
-    down_step_indices,
-    dyck_paths,
-    ktuple_of_path,
-    path_of_ktuple,
-    validate_ktuple,
-)
-from .errors import (
-    MalformedInputError,
-    PathValidityError,
-    ResourceLimitError,
-    SockPathError,
-    TupleValidityError,
-    ValidityError,
-)
-from .probability import (
-    DistributionTable,
-    ExactProb,
-    MarginalStat,
-    enumerate_ktuples,
-    full_distribution,
-    marginal_xk,
-    max_distribution,
-    permutation_count,
-    tuple_probability,
+from . import core, errors, probability
+from .core import *
+from .errors import *
+from .probability import *
+
+# Bound on first use (PEP 562): ``process`` imports numpy, which the
+# exact-law commands never need.
+_PROCESS_NAMES = (
+    "DEFAULT_BRUTE_FORCE_CAP",
+    "DEFAULT_SIMULATION_CAP",
+    "Sock",
+    "SockSequence",
+    "ProcessTrace",
+    "SimulationReport",
+    "run_process",
+    "random_permutation",
+    "monte_carlo",
+    "brute_force_counts",
 )
 
 
-# The names of ``__all__`` not bound above come from ``process`` on first
-# use (PEP 562): it imports numpy, which the exact-law commands never need.
 def __getattr__(name: str):
-    if name in __all__:
+    if name in _PROCESS_NAMES:
         from . import process
 
         return getattr(process, name)
@@ -55,38 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_BRUTE_FORCE_CAP",
-    "DEFAULT_SIMULATION_CAP",
-    "KTuple",
-    "DyckPath",
-    "Sock",
-    "SockSequence",
-    "ProcessTrace",
-    "DistributionTable",
-    "MarginalStat",
-    "ExactProb",
-    "SimulationReport",
-    "SockPathError",
-    "MalformedInputError",
-    "ValidityError",
-    "TupleValidityError",
-    "PathValidityError",
-    "ResourceLimitError",
-    "catalan",
-    "validate_ktuple",
-    "ktuple_of_path",
-    "path_of_ktuple",
-    "down_step_indices",
-    "dyck_paths",
-    "enumerate_ktuples",
-    "tuple_probability",
-    "permutation_count",
-    "full_distribution",
-    "marginal_xk",
-    "max_distribution",
-    "run_process",
-    "random_permutation",
-    "monte_carlo",
-    "brute_force_counts",
+    *core.__all__,
+    *errors.__all__,
+    *probability.__all__,
+    *_PROCESS_NAMES,
 ]

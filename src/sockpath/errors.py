@@ -13,6 +13,15 @@ mapping) can tell them apart:
 
 from __future__ import annotations
 
+__all__ = [
+    "SockPathError",
+    "MalformedInputError",
+    "ValidityError",
+    "TupleValidityError",
+    "PathValidityError",
+    "ResourceLimitError",
+]
+
 
 class SockPathError(Exception):
     """Base class for all errors raised by this package."""
