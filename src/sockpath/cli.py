@@ -35,8 +35,8 @@ from .core import (
     DyckPath,
     KTuple,
     _check_cap,
+    _climb,
     _down_step,
-    _tail_path,
     _walk,
     ktuple_of_path,
     path_of_ktuple,
@@ -192,7 +192,7 @@ def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tu
         return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climb
 
     def tail(a: tuple, v: int) -> tuple:
-        climb = sep.join(map(str, _tail_path(a, v))) + _JSON_ROW_CLOSE if path else ""
+        climb = sep.join(map(str, _climb(a, v))) + _JSON_ROW_CLOSE if path else ""
         return a, math.prod(a), sep.join(map(str, a)) + after, climb
 
     start = ((), (1 << n) * math.factorial(n), before, "")

@@ -237,20 +237,19 @@ def path_of_ktuple(t: KTuple | Iterable[int]) -> DyckPath:
     if violation is not None:
         index, reason = violation
         raise TupleValidityError(f"no Dyck path realizes {k}: {reason}", index=index)
-    return _climb(k)
+    return DyckPath._trusted(_climb(k))
 
 
-def _climb(k: tuple) -> DyckPath:
-    # Path of a tuple the caller knows is valid: rise to k_1, then after
-    # each completion step down once and rise to the next height.
-    n = len(k)
-    x = list(range(1, k[0] + 1))
-    for j in range(n):
-        x.append(k[j] - 1)
-        if j + 1 < n:
-            x.extend(range(k[j], k[j + 1] + 1))
-    assert len(x) == 2 * n
-    return DyckPath._trusted(tuple(x))
+def _climb(k: tuple, prev: int = 1) -> tuple[int, ...]:
+    # The heights of valid entries k after a completion at height prev
+    # (1 for none): each entry rises from the one before it to itself,
+    # then steps down once.
+    x = []
+    for v in k:
+        x.extend(range(prev, v + 1))
+        x.append(v - 1)
+        prev = v
+    return tuple(x)
 
 
 def _require_positive_int(name: str, value: object) -> None:
@@ -305,8 +304,8 @@ def dyck_paths(n: int, *, cap: int | None = None) -> Iterator[DyckPath]:
     total count is ``catalan(n)``. The tuple-to-path bijection keeps
     lexicographic order, so the paths follow :func:`_walk` of the
     tuples: each is the path through its prefix's last down-step, kept
-    per prefix entry, followed by its tail's own path with the heights
-    the prefix already climbed dropped.
+    per prefix entry, followed by its tail's heights, climbed on from
+    the prefix's last entry.
     """
     _check_cap(n, cap, "path enumeration")
     return _dyck_paths_iter(n)
@@ -314,7 +313,7 @@ def dyck_paths(n: int, *, cap: int | None = None) -> Iterator[DyckPath]:
 
 def _dyck_paths_iter(n: int) -> Iterator[DyckPath]:
     trusted = DyckPath._trusted
-    walk = _walk(n, (), lambda x, prev, v: x + _down_step(prev, v), _tail_path)
+    walk = _walk(n, (), lambda x, prev, v: x + _down_step(prev, v), _climb)
     for head, block in walk:
         yield from [trusted(head + tail) for tail in block]
 
@@ -324,12 +323,6 @@ def _down_step(prev: int, v: int) -> tuple[int, ...]:
     # height prev (1 for the first) through that of the next one, at v:
     # it rises on to v, then steps down once.
     return (*range(prev, v + 1), v - 1)
-
-
-def _tail_path(a: tuple, v: int) -> tuple[int, ...]:
-    # The heights of tail a's path after a prefix ending in v: the path
-    # already stands at v - 1, so its first v - 1 heights are dropped.
-    return _climb(a)[v - 1 :]
 
 
 # Entries of each tuple that come from a table instead of the odometer.
