@@ -91,21 +91,26 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _ints(tokens: Iterable[str], what: str, expected: str) -> list[int]:
+    # The integers a literal's tokens spell; the first that spells none is named.
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise MalformedInputError(
+                f"invalid {what} entry {token!r}: expected {expected}"
+            ) from None
+    return values
+
+
 def parse_tuple_literal(text: str) -> KTuple:
     """Comma-separated positive integers, optional surrounding parentheses."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    entries = []
-    for token in body.split(","):
-        token = token.strip()
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise MalformedInputError(
-                f"invalid tuple entry {token!r}: expected a positive integer"
-            ) from None
-    return KTuple(entries)
+    tokens = [token.strip() for token in body.split(",")]
+    return KTuple(_ints(tokens, "tuple", "a positive integer"))
 
 
 def parse_path_literal(text: str) -> DyckPath:
@@ -113,15 +118,7 @@ def parse_path_literal(text: str) -> DyckPath:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise MalformedInputError("empty path literal")
-    heights = []
-    for token in tokens:
-        try:
-            heights.append(int(token))
-        except ValueError:
-            raise MalformedInputError(
-                f"invalid path entry {token!r}: expected an integer height"
-            ) from None
-    return DyckPath(heights)
+    return DyckPath(_ints(tokens, "path", "an integer height"))
 
 
 def render_ascii(path: DyckPath) -> str:
