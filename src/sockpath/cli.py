@@ -218,14 +218,13 @@ def _json(value: object) -> str:
     return json.dumps(value, indent=2)
 
 
-def _stream_json(
-    head: dict, rows: Iterable[str], metadata: Callable[[], dict]
-) -> None:
-    """Write ``head`` plus ``rows`` and ``metadata()`` as json.dumps(indent=2) would.
+def _stream_json(head: dict, rows: Iterable[str], tail: Callable[[], dict]) -> None:
+    """Write ``head``, ``rows`` and ``tail()`` as json.dumps(indent=2) would.
 
-    Each row is written as soon as it is produced; ``metadata`` is called
-    after the last one, so it may report on them. ``rows`` must not be
-    empty.
+    ``rows`` are the rendered elements of the ``"rows"`` list, each
+    written as soon as it is produced; ``tail`` is called after the last
+    one, so its fields, which follow the list, may report on them.
+    Neither may be empty.
     """
     out = sys.stdout  # looked up per call: callers may redirect stdout
     out.write(_json(head)[:-2] + ',\n  "rows": [\n')
@@ -233,8 +232,8 @@ def _stream_json(
     out.write(next(rows))
     for row in rows:
         out.write(",\n" + row)
-    tail = _json(metadata()).replace("\n", "\n  ")
-    out.write('\n  ],\n  "metadata": ' + tail + "\n}\n")
+    # tail's own object at depth 0 is its fields' text at depth 1
+    out.write("\n  ]," + _json(tail())[1:] + "\n")
 
 
 def _resolve_workers() -> int:
@@ -315,7 +314,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _stream_json(
             {"n": n, "generator": "exact"},
             (f"{h[2]}{t[2]}{cells(count)}{h[3]}{t[3]}" for count, h, t in rows),
-            lambda: {"precision": args.precision},
+            lambda: {"metadata": {"precision": args.precision}},
         )
     else:
         out = sys.stdout
@@ -422,6 +421,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 cell = rendered[key] = cells(*key)
             yield head + text + cell
 
+    @functools.cache  # called once the rows are written, then reused
     def largest() -> int:
         return max(deviation(*key) for key in rendered)
 
@@ -430,11 +430,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             {"n": n, "generator": "simulation"},
             lines(),
             lambda: {
-                "seed": seed,
-                "trials": trials,
-                "precision": precision,
-                "max_abs_deviation": _ratio(largest(), scale),
-                "max_abs_deviation_decimal": _decimal(largest(), scale, precision),
+                "metadata": {
+                    "seed": seed,
+                    "trials": trials,
+                    "precision": precision,
+                    "max_abs_deviation": _ratio(largest(), scale),
+                    "max_abs_deviation_decimal": _decimal(largest(), scale, precision),
+                }
             },
         )
     else:
@@ -460,26 +462,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         law = max_distribution(args.n, cap=cap)
         moments = []
     if args.format == "json":
-        payload: dict = {
-            "n": args.n,
-            "generator": "exact",
-            "what": args.what,
-            "rows": [
-                {
-                    "height": h,
-                    "probability": str(p),
-                    "probability_decimal": format_decimal(p, precision),
-                }
-                for h, p in law.items()
-            ],
-        }
-        if args.what == "xk":
-            payload["k"] = args.k
+        # the fields after the rows: k, the moments, then the metadata
+        tail: dict = {"k": args.k} if args.what == "xk" else {}
         for name, value in moments:
-            payload[name] = str(value)
-            payload[f"{name}_decimal"] = format_decimal(value, precision)
-        payload["metadata"] = {"precision": precision}
-        print(_json(payload))
+            tail[name] = str(value)
+            tail[f"{name}_decimal"] = format_decimal(value, precision)
+        tail["metadata"] = {"precision": precision}
+        rows = (
+            {
+                "height": h,
+                "probability": str(p),
+                "probability_decimal": format_decimal(p, precision),
+            }
+            for h, p in law.items()
+        )
+        _stream_json(
+            {"n": args.n, "generator": "exact", "what": args.what},
+            ("    " + _json(row).replace("\n", "\n    ") for row in rows),
+            lambda: tail,
+        )
     else:
         # the moments follow the heights as rows of the same shape
         out = sys.stdout

@@ -902,7 +902,7 @@ class TestStreamedJson:
     def _streamed(head, rows, metadata) -> str:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            _stream_json(head, rows, lambda: metadata)
+            _stream_json(head, rows, lambda: {"metadata": metadata})
         return buf.getvalue()
 
     @given(
