@@ -79,8 +79,9 @@ __all__ = [
     "brute_force_counts",
 ]
 
-# (2*5)! = 3,628,800 orderings: a few seconds. Each further pair is
-# roughly a 400x blowup, so the default stops at 5.
+# (2*5)! = 3,628,800 orderings walk in about 50 ms on one worker. n = 6
+# has 12 * 11 = 132 times as many, some 5 s on one core of a 2-vCPU
+# machine: no longer an interactive check, so the default stops at 5.
 DEFAULT_BRUTE_FORCE_CAP = 5
 
 # A report holds only the tuples hit, but its rows() walk, which
