@@ -52,7 +52,7 @@ __all__ = [
     "max_distribution",
 ]
 
-# Probabilities are plain Fractions; the alias documents intent in signatures.
+# A public alias of Fraction, the type of every exact probability here.
 ExactProb = Fraction
 
 # Default caps of the height-count DP, each near a second on one core:

@@ -412,6 +412,22 @@ class TestVerify:
         assert "FAIL (2,1,1): 0 orderings, expected 96" in lines
         assert lines[-1].startswith("FAIL, ")
 
+    def test_short_total_fails_and_names_it(self, cli, monkeypatch):
+        exact = process.brute_force_counts
+
+        def faulty(n, **kwargs):
+            counts = exact(n, **kwargs)
+            counts[KTuple((2, 1, 1))] -= 1  # one ordering is lost
+            return counts
+
+        monkeypatch.setattr(process, "brute_force_counts", faulty)
+        code, out, _ = cli("verify", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL (2,1,1): 95 orderings, expected 96" in lines
+        assert "FAIL total: 719 orderings tallied, expected 720" in lines
+        assert lines[-1].startswith("FAIL, ")
+
 
 class TestSimulate:
     def test_single_pair_exact(self, cli):

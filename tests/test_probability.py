@@ -216,6 +216,11 @@ class TestFullDistribution:
         assert len(table) == 2
         assert list(table) == [KTuple((1, 1)), KTuple((2, 1))]
         assert table != full_distribution(1)
+        # a table never equals another type: both sides return NotImplemented
+        assert table.__eq__(1) is NotImplemented
+        assert (table == 1) is False
+        with pytest.raises(AttributeError):
+            del table.n
         assert_record(
             table,
             "DistributionTable(n=2, entries={KTuple((1, 1)): Fraction(1, 3), "

@@ -178,6 +178,22 @@ class TestRandomPermutation:
             Sock(t, s) for t in range(1, 6) for s in (0, 1)
         )
 
+    @pytest.mark.parametrize(
+        "n,seed,draws",
+        [
+            (2, 5, [(1, 0), (1, 1), (2, 1), (2, 0)]),
+            (4, 11, [(1, 1), (1, 0), (2, 0), (3, 1), (2, 1), (3, 0), (4, 0), (4, 1)]),
+        ],
+    )
+    def test_stream_is_pinned(self, n, seed, draws):
+        # the shuffle's stream, recorded as literals: a change to how the
+        # result is built must not change what a seed draws
+        seq = random_permutation(n, random.Random(seed))
+        assert seq == tuple(Sock(*d) for d in draws)
+        assert seq.n == n
+        assert SockSequence(seq) is seq
+        assert SockSequence(list(seq)) == seq
+
     def test_rejects_bad_n(self):
         with pytest.raises(MalformedInputError):
             random_permutation(0, random.Random(1))
