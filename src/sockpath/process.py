@@ -34,7 +34,7 @@ Both engines build each chunk inside the worker that tallies it, and a
 chunk is handed to a worker only when one is free, so no more than
 ``workers`` chunks are held at once. The worker count is clamped to the
 CPU count here, and nowhere else. Both walk on the narrowest signed
-integer whose value bits hold ``2n``: int8 for ``n <= 3``, int16 for
+integer whose value bits hold ``2n``, from int16 on: int16 for
 ``n <= 7``, int32 for ``n <= 15`` and int64 up to ``n = 31``, so each
 pass moves as few bytes as the path code allows. A code holds the first
 draw in its highest bit, so codes sort as their tuples do, and both
@@ -217,7 +217,7 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
 def _state_dtype(n: int) -> type:
     # A walk's seen mask has n bits and its path code 2n - 1: both fit
     # the narrowest signed integer whose value bits hold 2n.
-    widths = (np.int8, np.int16, np.int32, np.int64)
+    widths = (np.int16, np.int32, np.int64)
     return next(t for t in widths if 2 * n < np.iinfo(t).bits)
 
 
@@ -293,9 +293,6 @@ def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
 
 
 def _tally_codes(codes: np.ndarray) -> Counter:
-    # unique sorts int8 codes about fifteen times slower than the same
-    # codes as int16 (numpy 2.4, x86-64), so one-byte codes are widened.
-    codes = codes.astype(np.promote_types(codes.dtype, np.int16), copy=False)
     values, counts = np.unique(codes, return_counts=True)
     return Counter(dict(zip(values.tolist(), counts.tolist())))
 

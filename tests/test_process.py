@@ -127,8 +127,8 @@ class TestRunProcess:
     @pytest.mark.parametrize(
         "n,dtype",
         [
-            (1, np.int8),
-            (3, np.int8),
+            (1, np.int16),
+            (3, np.int16),
             (4, np.int16),
             (7, np.int16),
             (8, np.int32),
@@ -138,7 +138,7 @@ class TestRunProcess:
         ],
     )
     def test_path_codes_across_the_dtype_switch(self, n, dtype):
-        # the narrowest state whose value bits hold 2n: int8 to n = 3,
+        # the narrowest state whose value bits hold 2n, from int16 on:
         # int16 to n = 7, int32 to n = 15, int64 up to the 64-bit limit
         # at n = 31; each side of every switch
         sock_ids = np.arange(2 * n, dtype=np.int8)
@@ -502,9 +502,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 11, 16])
     def test_tiles_continue_each_chunk_stream(self, monkeypatch, n):
         # Chunks of 700 rows in tiles of 64 ids: several tiles a chunk, a
-        # partial last one, and each side of every state width: n = 3 the
-        # last int8 walk, 4 and 7 the first and last int16, 8 the first
-        # int32 and 16 the first int64. The reference restates the sampler
+        # partial last one, and each side of every state width: n = 1 and
+        # 7 the first and last int16 walk, 8 the first int32 and 16 the
+        # first int64. The reference restates the sampler
         # untiled: one int8 tile per chunk, shuffled from
         # Philox(key=seed).jumped(i), each row run through run_process.
         monkeypatch.setattr(process, "_CHUNK_ROWS", 700)
