@@ -36,7 +36,6 @@ from .core import (
     KTuple,
     _check_cap,
     _climb,
-    _down_step,
     _walk,
     ktuple_of_path,
     path_of_ktuple,
@@ -185,7 +184,7 @@ def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tu
     items = [f"{v}{sep}" for v in range(n + 1)]
 
     def entry(s: tuple, prev: int, v: int) -> tuple:
-        climb = "".join([items[h] for h in _down_step(prev, v)]) if path else ""
+        climb = "".join([items[h] for h in _climb((v,), prev)]) if path else ""
         return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climb
 
     def tail(a: tuple, v: int) -> tuple:

@@ -313,16 +313,9 @@ def dyck_paths(n: int, *, cap: int | None = None) -> Iterator[DyckPath]:
 
 def _dyck_paths_iter(n: int) -> Iterator[DyckPath]:
     trusted = DyckPath._trusted
-    walk = _walk(n, (), lambda x, prev, v: x + _down_step(prev, v), _climb)
+    walk = _walk(n, (), lambda x, prev, v: x + _climb((v,), prev), _climb)
     for head, block in walk:
         yield from [trusted(head + tail) for tail in block]
-
-
-def _down_step(prev: int, v: int) -> tuple[int, ...]:
-    # The heights a path takes after the down-step of a completion at
-    # height prev (1 for the first) through that of the next one, at v:
-    # it rises on to v, then steps down once.
-    return (*range(prev, v + 1), v - 1)
 
 
 # Entries of each tuple that come from a table instead of the odometer.
