@@ -196,20 +196,6 @@ def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tu
         yield from [(head[1] * t[1], head, t) for t in block]
 
 
-def _probability_texts(n: int, precision: int) -> Callable[[int], tuple[str, str, str]]:
-    """``(p/q, decimal, count)`` strings of an ordering count over ``(2n)!``."""
-    denominator = math.factorial(2 * n)
-
-    def texts(count: int) -> tuple[str, str, str]:
-        return (
-            _ratio(count, denominator),
-            _decimal(count, denominator, precision),
-            str(count),
-        )
-
-    return texts
-
-
 def _json(value: object) -> str:
     """``json.dumps(value, indent=2)``; json loads only for the commands that write it."""
     import json
@@ -297,11 +283,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     head, tail)`` triple per row, whose head and tail are shared with
     the walk, and sorts them before rendering.
     """
-    n = args.n
+    n, precision = args.n, args.precision
     _check_cap(n, _cap_override(args), "distribution table")
-    texts = _probability_texts(n, args.precision)
+    den = math.factorial(2 * n)
     template = _JSON_TABLE_CELLS if args.format == "json" else ",%s,%s,%s\n"
-    cells = functools.cache(lambda count: template % texts(count))
+    cells = functools.cache(
+        lambda c: template % (_ratio(c, den), _decimal(c, den, precision), c)
+    )
     rows: Iterable[tuple[int, tuple, tuple]] = _rows(
         n, args.format, path=args.format == "json"
     )
@@ -313,7 +301,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _stream_json(
             {"n": n, "generator": "exact"},
             (f"{h[2]}{t[2]}{cells(count)}{h[3]}{t[3]}" for count, h, t in rows),
-            lambda: {"metadata": {"precision": args.precision}},
+            lambda: {"metadata": {"precision": precision}},
         )
     else:
         out = sys.stdout
@@ -387,8 +375,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args, _MAX_PATH_N)
     )
     hits, deviation = report.hits, report.deviation
-    texts = functools.cache(_probability_texts(n, precision))
-    scale = trials * math.factorial(2 * n)
+    den = math.factorial(2 * n)
+    scale = trials * den
+    # The exact law's cells, once per ordering count, not per (hits, count) pair.
+    law = functools.cache(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
 
     # The cells after a row's tuple, from its hits and its ordering count.
     if args.format == "json":
@@ -399,7 +389,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 hit,
                 _ratio(hit, trials),
                 _decimal(hit, trials, precision),
-                *texts(count)[:2],
+                *law(count),
                 _ratio(dev, scale),
                 _decimal(dev, scale, precision),
             )
@@ -408,7 +398,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         def cells(hit: int, count: int) -> str:
             dev = _decimal(deviation(hit, count), scale, precision)
-            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), texts(count)[0], dev)
+            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law(count)[0], dev)
 
     rendered: dict[tuple[int, int], str] = {}
 
