@@ -207,7 +207,8 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
     _require_positive_int("n", n)
     socks = _all_socks(n)
     rng.shuffle(socks)
-    return SockSequence(socks)
+    # Every sock once, by construction: nothing for SockSequence to check.
+    return tuple.__new__(SockSequence, socks)
 
 
 # ----------------------------------------------------------------------
