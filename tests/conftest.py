@@ -1,6 +1,8 @@
-"""Shared hypothesis strategies for sock-sorting objects, a peak-RSS probe and a record check."""
+"""Shared hypothesis strategies for sock-sorting objects, a peak-RSS probe,
+a record check and the table-count chain, the reference for every row."""
 
 import copy
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import sockpath
-from sockpath import DyckPath, KTuple, Sock
+from sockpath import DyckPath, KTuple, Sock, catalan
 
 # A child's ru_maxrss starts at the peak RSS of the process that started
 # it, so a small launcher, not the test process, reaps the child with
@@ -50,6 +52,61 @@ def assert_record(record, text: str, **fields) -> None:
         else:
             raise AssertionError(f"{name} of {type(record).__name__} was assigned")
         assert getattr(record, name) == value
+
+
+def chain_rows(n: int):
+    """Every valid tuple of order ``n`` as ``(tuple, orderings, path)``, lexicographically.
+
+    A depth-first walk of the table-count chain, sharing no code with
+    sockpath. With ``h`` socks on the table and ``L`` left to draw, ``h``
+    of them complete a pair: a down-step of weight ``h``, whose entry is
+    ``h``. The other ``L - h`` open one: an up-step of weight ``L - h``.
+    A leaf's orderings are the product of its steps' weights, and its path
+    the heights after each draw. Taking the down-step first yields the
+    tuples in lexicographic order. The stack is explicit and the tuple and
+    path are written in place, so order 13 streams.
+    """
+    size = 2 * n
+    ks, path = [0] * n, [0] * size
+    # (draws taken, height after them, orderings so far, entry the last
+    # draw completed or 0 for an up-step)
+    stack = [(0, 0, 1, 0)]
+    while stack:
+        i, h, count, k = stack.pop()
+        if i:
+            path[i - 1] = h
+        if k:
+            # (i - h) / 2 of the i draws so far were down-steps
+            ks[(i - h) // 2 - 1] = k
+        if i == size:
+            yield tuple(ks), count, tuple(path)
+            continue
+        left = size - i
+        if left > h:
+            stack.append((i + 1, h + 1, count * (left - h), 0))
+        if h:  # pushed last, so walked first
+            stack.append((i + 1, h - 1, count * h, h))
+
+
+def follow_chain(n: int, *streams) -> int:
+    """Check each stream's ``(tuple, orderings)`` rows against :func:`chain_rows`.
+
+    All streams are compared row by row in one pass, so no table of order
+    ``n`` is held. The chain's rows also meet their closed forms: Catalan(n)
+    rows, ``(2n)!`` orderings, and ``(2n - 1)!!`` for the sum over rows of
+    ``prod(k)``, the perfect matchings of ``2n`` draw positions. Returns
+    the row count.
+    """
+    rows = orderings = products = 0
+    for (t, count, _), *got in zip(chain_rows(n), *streams, strict=True):
+        assert got == [(t, count)] * len(streams)
+        rows += 1
+        orderings += count
+        products += math.prod(t)
+    assert rows == catalan(n)
+    assert orderings == math.factorial(2 * n)
+    assert products == math.prod(range(1, 2 * n, 2))
+    return rows
 
 
 @st.composite

@@ -28,6 +28,10 @@ from sockpath import (
     tuple_probability,
     validate_ktuple,
 )
+from sockpath.cli import _rows
+from sockpath.probability import _count_rows
+
+from conftest import follow_chain
 
 MC_SEED = 20260811
 
@@ -92,6 +96,18 @@ def test_normalization_through_n12():
     report(
         "normalization sums to 1 (n=1..12, exact)",
         f"n=12 over {catalan(12)} tuples in {elapsed_12:.2f}s",
+    )
+
+
+def test_rows_follow_the_table_count_chain_n13():
+    """Every row of order 13, tuple and ordering count, equals the chain's."""
+    t0 = time.perf_counter()
+    csv_counts = ((h[0] + t[0], count) for count, h, t in _rows(13, "csv"))
+    rows = follow_chain(13, _count_rows(13), csv_counts)
+    elapsed = time.perf_counter() - t0
+    report(
+        "rows follow the table-count chain (n=13, exact)",
+        f"{rows} rows of the table and CSV generators in {elapsed:.2f}s",
     )
 
 

@@ -34,7 +34,7 @@ from sockpath import core
 from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _rows
 from sockpath.probability import _count_rows
 
-from conftest import assert_record, valid_ktuples
+from conftest import assert_record, chain_rows, follow_chain, valid_ktuples
 
 
 # ----------------------------------------------------------------------
@@ -269,50 +269,6 @@ class TestCountRows:
         for got, t in zip(cells, enumerate_ktuples(n), strict=True):
             assert got == csv_cell(str(t))
 
-    @pytest.mark.parametrize("n", [12, 13])
-    def test_counts_meet_closed_forms(self, n):
-        # (2n)! orderings in all; sum over tuples of prod(k_i) = (2n - 1)!!,
-        # the number of perfect matchings of 2n draw positions
-        orderings = products = rows = 0
-        for t, count in _count_rows(n):
-            orderings += count
-            products += math.prod(t)
-            rows += 1
-        assert rows == catalan(n)
-        assert orderings == math.factorial(2 * n)
-        assert products == math.prod(range(1, 2 * n, 2))
-
-
-def valid_by_rule(n: int) -> list[tuple]:
-    """Valid tuples of order n, lexicographically, from the rule alone.
-
-    Entry k_{i+1} >= k_i - 1 and k_n = 1; since each step drops by at
-    most one, an entry above the steps left plus one can never reach 1.
-    """
-    found = []
-
-    def extend(t: tuple) -> None:
-        if len(t) == n:
-            if t[-1] == 1:
-                found.append(t)
-            return
-        low = max(1, t[-1] - 1) if t else 1
-        for v in range(low, n - len(t) + 1):
-            extend((*t, v))
-
-    extend(())
-    return found
-
-
-def path_by_rule(t: tuple) -> tuple:
-    # rise to each completion height, then take its down-step
-    x, h = [], 0
-    for k in t:
-        x.extend(range(h + 1, k + 1))
-        h = k - 1
-        x.append(h)
-    return tuple(x)
-
 
 def csv_cell(text: str) -> str:
     # the tuple cell as csv.writer writes it, without the line's end
@@ -321,17 +277,59 @@ def csv_cell(text: str) -> str:
     return line.getvalue()
 
 
+def csv_counts(n: int):
+    # each CSV row's tuple and ordering count, as cli._rows builds them
+    return ((h[0] + t[0], count) for count, h, t in _rows(n, "csv"))
+
+
+def started(rows):
+    # the same rows, with the first already drawn
+    rows = iter(rows)
+    return itertools.chain([next(rows)], rows)
+
+
+class TestChain:
+    # The table-count chain is the reference for every row's count. A
+    # generator reads core._TAIL as it starts, so each stream is started
+    # under its own tail length and one pass of the chain checks them
+    # all: every length for both generators at n = 11, and for
+    # _count_rows at n = 12. TestTailSeam forces them up to n = 10.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_follow_the_chain(self, n, monkeypatch):
+        default = core._TAIL
+        streams = []
+        for size in range(1, default + 1) if n > 10 else [default]:
+            monkeypatch.setattr(core, "_TAIL", size)
+            streams.append(started(_count_rows(n)))
+            if n == 11 or size == default:
+                streams.append(started(csv_counts(n)))
+        assert follow_chain(n, *streams) == catalan(n)
+
+    def test_catches_swapped_counts(self):
+        # the first and last rows' counts swapped keep every sum
+        rows = list(_count_rows(10))
+        (first, a), (last, b) = rows[0], rows[-1]
+        rows[0], rows[-1] = (first, b), (last, a)
+        assert len(rows) == catalan(10)
+        assert sum(count for _, count in rows) == math.factorial(20)
+        assert sum(math.prod(t) for t, _ in rows) == math.prod(range(1, 20, 2))
+        with pytest.raises(AssertionError):
+            follow_chain(10, rows)
+
+
 class TestTailSeam:
     # Rows and paths join a prefix stepped by the odometer to a tail from
     # the table of order min(core._TAIL, n); forcing every tail length
-    # puts the seam at every position.
-    @pytest.mark.parametrize("n", range(1, 13))
+    # puts the seam at every position. From n = 10 on, entries and
+    # heights reach two digits and every prefix end occurs, so larger n
+    # reach no further code: TestChain forces the tails there.
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_every_tail_length(self, n, monkeypatch):
-        tuples = valid_by_rule(n)
-        prefactor = (1 << n) * math.factorial(n)
-        rows = [(t, prefactor * math.prod(t)) for t in tuples]
+        chain = list(chain_rows(n))
+        tuples = [t for t, _, _ in chain]
+        rows = [(t, count) for t, count, _ in chain]
         texts = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
-        paths = [path_by_rule(t) for t in tuples]
+        paths = [path for _, _, path in chain]
         # csv.writer quotes every tuple cell of order n, or none
         quote = '"' if csv_cell(texts[0]) != texts[0] else ""
         for size in range(1, min(n, core._TAIL) + 1):
@@ -350,10 +348,7 @@ class TestTailSeam:
                 assert got == want and type(got) is KTuple
             # The fragments of CLI rows: the CSV tuple cell, and the JSON
             # row's opening with the tuple's elements and the path's
-            # elements with the row's close. Up to n = 11, where entries
-            # and heights reach two digits; n = 12 would add about 10 s.
-            if n > 11:
-                continue
+            # elements with the row's close.
             csv_rows = (
                 (h[0] + t[0], count, h[2] + t[2], h[3] + t[3])
                 for count, h, t in _rows(n, "csv")
