@@ -6,6 +6,8 @@ import itertools
 import math
 import os
 import random
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -395,6 +397,28 @@ class TestRunChunks:
             tracemalloc.stop()
         assert tally == {0b01: 5_000}
         assert peak < 1_000_000
+
+    def test_at_most_workers_chunks_in_flight(self, monkeypatch):
+        # each tally sleeps long enough for the other worker's to start
+        lock = threading.Lock()
+        running = peak = 0
+
+        def tally(chunk):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.02)
+            with lock:
+                running -= 1
+            return Counter({chunk: chunk + 1})
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        one = _run_chunks(tally, range(5), 1)
+        assert peak == 1
+        peak = 0
+        assert _run_chunks(tally, range(5), 2) == one
+        assert peak == 2
 
     def test_threads_clamped_to_cpus(self, monkeypatch):
         # one thread per chunk in flight: 64 workers on 2 CPUs start 2
