@@ -30,16 +30,16 @@ Two verification engines live here:
   ``_TILE_ITEMS`` sock ids at a time, each tile continuing the chunk's
   stream, and a tally is decoded a tile at a time too.
 
-Both engines build each chunk inside the worker that tallies it, and a
-chunk is handed to a worker only when one is free, so no more than
-``workers`` chunks are held at once. The worker count is clamped to the
-CPU count here, and nowhere else. Both walk on the narrowest signed
-integer whose value bits hold ``2n``, from int16 on: int16 for
-``n <= 7``, int32 for ``n <= 15`` and int64 up to ``n = 31``, so each
-pass moves as few bytes as the path code allows. A code holds the first
-draw in its highest bit, so codes sort as their tuples do, and both
-engines return their tallies in lexicographic order through one helper,
-whatever the worker count.
+Both engines build each chunk inside the worker that tallies it, and
+chunks run in rounds of at most ``workers``, so no more than ``workers``
+chunks are held at once. The worker count is clamped to the CPU count
+here, and nowhere else. Both walk on the narrowest signed integer whose
+value bits hold ``2n``, from int16 on: int16 for ``n <= 7``, int32 for
+``n <= 15`` and int64 up to ``n = 31``, so each pass moves as few bytes
+as the path code allows. A code holds the first draw in its highest
+bit, so codes sort as their tuples do, and both engines return their
+tallies in lexicographic order through one helper, whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -307,8 +307,8 @@ def _tally_table(tally: Counter, n: int) -> dict[KTuple, int]:
 
 def _run_chunks(tally: Callable[..., Counter], chunks: Iterable, workers: int) -> Counter:
     # Each chunk is built from its spec inside the worker that tallies it.
-    # One thread per chunk in flight, never more than the CPUs, and a run
-    # of one chunk stays in this thread.
+    # Chunks run in rounds of one per worker, on no more threads than
+    # CPUs, and a run of one chunk stays in this thread.
     chunks = iter(chunks)
     first = list(itertools.islice(chunks, 2))
     chunks = itertools.chain(first, chunks)
@@ -317,20 +317,15 @@ def _run_chunks(tally: Callable[..., Counter], chunks: Iterable, workers: int) -
     if workers > 1:
         # Imported here: the pool's module loads logging and queue, which
         # a one-worker run never uses.
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+        from concurrent.futures import ThreadPoolExecutor
 
-        # Submit a chunk only when one finishes: a future per chunk held
-        # up front would grow with the chunk count, not the worker count.
+        # Chunks are blocks of one size, so a round's chunks finish about
+        # together, and only a round's chunks and futures are held at
+        # once, whatever the chunk count.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            running: set = set()
-            for chunk in chunks:
-                if len(running) == workers:
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        total.update(future.result())
-                running.add(pool.submit(tally, chunk))
-            for future in running:
-                total.update(future.result())
+            for batch in iter(lambda: list(itertools.islice(chunks, workers)), []):
+                for part in pool.map(tally, batch):
+                    total.update(part)
     else:
         # One worker runs in this thread: a one-thread pool peaks about
         # 2 MB higher on simulate 5 --trials 1000000.
