@@ -202,9 +202,11 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
 
     Uses an unbiased in-place shuffle, so each of the ``(2n)!`` orderings
     is equally likely; the result is a deterministic function of the rng
-    state.
+    state. An rng with no callable ``shuffle`` raises MalformedInputError.
     """
     _require_positive_int("n", n)
+    if not callable(getattr(rng, "shuffle", None)):
+        raise MalformedInputError(f"rng needs a shuffle method, got {type(rng).__name__}")
     socks = _all_socks(n)
     rng.shuffle(socks)
     # Every sock once, by construction: nothing for SockSequence to check.

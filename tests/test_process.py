@@ -200,6 +200,14 @@ class TestRandomPermutation:
         with pytest.raises(MalformedInputError):
             random_permutation(0, random.Random(1))
 
+    @pytest.mark.parametrize("rng,name", [(None, "NoneType"), (3, "int")])
+    def test_rejects_rng_without_shuffle(self, rng, name):
+        with pytest.raises(MalformedInputError, match=f"rng needs a shuffle method, got {name}$"):
+            random_permutation(2, rng)
+        # n is checked first
+        with pytest.raises(MalformedInputError, match="^n must"):
+            random_permutation(0, rng)
+
     def test_single_pair_hits_both_orders(self):
         seen = {random_permutation(1, random.Random(s)) for s in range(20)}
         assert seen == {
