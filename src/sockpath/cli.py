@@ -377,11 +377,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hits, deviation = report.hits, report.deviation
     den = math.factorial(2 * n)
     scale = trials * den
-    # The exact law's cells, once per ordering count, not per (hits, count) pair.
-    law = functools.cache(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
-
-    # The cells after a row's tuple, from its hits and its ordering count.
+    # The cells after a row's tuple, from its hits and its ordering count;
+    # the exact law's cells are cached per ordering count, not per
+    # (hits, count) pair.
     if args.format == "json":
+        law = functools.cache(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
 
         def cells(hit: int, count: int) -> str:
             dev = deviation(hit, count)
@@ -395,10 +395,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
 
     else:
+        law = functools.cache(lambda c: _ratio(c, den))
 
         def cells(hit: int, count: int) -> str:
             dev = _decimal(deviation(hit, count), scale, precision)
-            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law(count)[0], dev)
+            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law(count), dev)
 
     rendered: dict[tuple[int, int], str] = {}
 
