@@ -10,7 +10,7 @@ golden example.
 a consumer that closes the pipe early stops the command. The engine
 yields integers only; every row's text is rendered here. A row is a
 ready line joined from fragments rendered once per call by
-:func:`_rows`: the text of each tuple prefix the odometer steps and of
+:func:`_blocks`: the text of each tuple prefix the odometer steps and of
 each tail in its table, and the cells of each distinct ordering count.
 These lines, and those of ``stats``, are byte for byte what
 ``csv.writer`` and ``json.dumps(indent=2)`` would write.
@@ -23,9 +23,9 @@ validity error, 141 (128 + SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -160,14 +160,14 @@ _JSON_SIMULATE_CELLS = (
 )
 
 
-def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tuple]]:
-    """Every row of order ``n`` as ``(count, head, tail)``, lexicographically.
+def _blocks(n: int, fmt: str, path: bool = False) -> Iterator[tuple[tuple, list]]:
+    """Every prefix block of order ``n`` as ``(head, tails)``, lexicographically.
 
     The walk of :func:`~sockpath.core._walk` keeps, per odometer prefix,
     the head ``(pre, 2^n * n! * prod(pre), text, path text)`` and, per
-    tail ``a`` in its table, ``(a, prod(a), text, path text)``: the row's
-    tuple is ``pre + a``, its ordering count ``count`` the product of the
-    two and its tuple text the two texts joined. In CSV that text is the
+    tail ``a`` in its table, ``(a, prod(a), text, path text)``: a row's
+    tuple is ``pre + a``, its ordering count the product of the two
+    and its tuple text the two texts joined. In CSV that text is the
     cell ``(k_1,...,k_n)``, quoted as csv.writer quotes a cell with a
     comma, from ``n = 2`` on; in JSON it is the row object up to the
     tuple's elements. With ``path``, the path texts joined are the JSON
@@ -192,7 +192,12 @@ def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tu
         return a, math.prod(a), sep.join(map(str, a)) + after, climb
 
     start = ((), (1 << n) * math.factorial(n), before, "")
-    for head, block in _walk(n, start, entry, tail):
+    return _walk(n, start, entry, tail)
+
+
+def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tuple]]:
+    """Every row of :func:`_blocks` as ``(count, head, tail)``, lexicographically."""
+    for head, block in _blocks(n, fmt, path):
         yield from [(head[1] * t[1], head, t) for t in block]
 
 
@@ -275,38 +280,80 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     """Write the table row by row, each joined from pre-rendered fragments.
 
-    The rows of :func:`_rows` bring each row's ordering count and its
-    text in two parts, a prefix's and a tail's, whatever its length:
-    the CSV cell, or the JSON row's opening, tuple and path. The cells
-    that depend on the count alone (``p/q``, decimal, count) are
-    rendered once per distinct count. ``--sort prob`` holds one ``(count,
-    head, tail)`` triple per row, whose head and tail are shared with
-    the walk, and sorts them before rendering.
+    The blocks of :func:`_blocks` bring each prefix's head and its tails:
+    a row's ordering count is the product of theirs, and its text comes
+    in two parts, the head's and the tail's, whatever its length: the
+    CSV cell, or the JSON row's opening, tuple and path. The cells that
+    depend on the count alone (``p/q``, decimal, count) are rendered
+    once per distinct count. ``--sort lex`` writes the rows in walk
+    order, as :func:`_rows` flattens the blocks.
+
+    ``--sort prob`` sorts by count classes, not rows: there are 286
+    distinct counts at ``n = 10`` and 2,142 at ``n = 14``. The tails of
+    each of the walk's blocks are split once by their own count, and
+    each prefix appends its head and each such run of tails, the objects
+    the walk shares, to one flat list per row count. The lists are
+    written from the highest count down, each dropped once written. A
+    prefix's rows enter a list in walk order, so ties stay
+    lexicographic.
     """
     n, precision = args.n, args.precision
     _check_cap(n, _cap_override(args), "distribution table")
     den = math.factorial(2 * n)
-    template = _JSON_TABLE_CELLS if args.format == "json" else ",%s,%s,%s\n"
+    is_json = args.format == "json"
+    template = _JSON_TABLE_CELLS if is_json else ",%s,%s,%s\n"
     cells = functools.cache(
         lambda c: template % (_ratio(c, den), _decimal(c, den, precision), c)
     )
-    rows: Iterable[tuple[int, tuple, tuple]] = _rows(
-        n, args.format, path=args.format == "json"
-    )
     if args.sort == "prob":
-        # Highest probability first. The sort is stable, also in
-        # reverse, so ties keep the walk's lexicographic order.
-        rows = sorted(rows, key=operator.itemgetter(0), reverse=True)
-    if args.format == "json":
+        classes: dict[int, list] = collections.defaultdict(list)
+        # the walk yields the same few block lists over and over
+        runs_of: dict[int, list] = {}
+        for h, block in _blocks(n, args.format, path=is_json):
+            runs = runs_of.get(id(block))
+            if runs is None:
+                by_count = collections.defaultdict(list)
+                for t in block:
+                    by_count[t[1]].append(t)
+                runs = runs_of[id(block)] = list(by_count.items())
+            hc = h[1]
+            for c, tails in runs:
+                classes[hc * c] += h, tails
+
+        def descending() -> Iterator[tuple[str, Iterator]]:
+            for count in sorted(classes, reverse=True):
+                flat = iter(classes.pop(count))
+                yield cells(count), zip(flat, flat)
+
+        if is_json:
+            lines = (
+                f"{h[2]}{t[2]}{cell}{h[3]}{t[3]}"
+                for cell, pairs in descending()
+                for h, tails in pairs
+                for t in tails
+            )
+        else:
+            # a class's lines in one write
+            lines = (
+                "".join([h[2] + t[2] + cell for h, tails in pairs for t in tails])
+                for cell, pairs in descending()
+            )
+    else:
+        rows = _rows(n, args.format, path=is_json)
+        if is_json:
+            lines = (f"{h[2]}{t[2]}{cells(c)}{h[3]}{t[3]}" for c, h, t in rows)
+        else:
+            lines = (h[2] + t[2] + cells(c) for c, h, t in rows)
+    if is_json:
         _stream_json(
             {"n": n, "generator": "exact"},
-            (f"{h[2]}{t[2]}{cells(count)}{h[3]}{t[3]}" for count, h, t in rows),
+            lines,
             lambda: {"metadata": {"precision": precision}},
         )
     else:
         out = sys.stdout
         out.write("tuple,probability,probability_decimal,count\n")
-        out.writelines(h[2] + t[2] + cells(count) for count, h, t in rows)
+        out.writelines(lines)
     return EXIT_OK
 
 

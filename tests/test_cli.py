@@ -883,6 +883,13 @@ class TestBoundedMemory:
         large = self._peak_rss_kb("table", "11", "--format", "json", "--sort", "lex")
         assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
 
+    def test_table_by_probability_holds_count_classes(self):
+        # 208,012 rows in 808 count classes: holding a (count, head, tail)
+        # triple per row to sort them peaks about 30 MB over lex order
+        lex = self._peak_rss_kb("table", "12", "--format", "csv", "--sort", "lex")
+        prob = self._peak_rss_kb("table", "12", "--format", "csv", "--sort", "prob")
+        assert prob - lex < 10 * 1024, f"peak RSS {lex} KB (lex) -> {prob} KB (prob)"
+
     @pytest.mark.parametrize(
         "command,extra", [("table", ()), ("simulate", ("--trials", "20000"))]
     )
@@ -984,6 +991,16 @@ class TestStreamedOutput:
                                        "--precision", str(precision))
                     assert code == 0
                     assert out == table_oracle(n, fmt, sort, precision), (fmt, sort, precision)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_by_probability_with_a_two_digit_entry(self, cli, fmt):
+        # n = 10 is the first order with an entry of 10, and its 286
+        # count classes each gather rows from many prefixes
+        for precision in (6, 3):
+            code, out, _ = cli("table", "10", "--format", fmt, "--sort", "prob",
+                               "--precision", str(precision))
+            assert code == 0
+            assert out == table_oracle(10, fmt, "prob", precision), precision
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_simulate_equals_report_rendering(self, cli, n):
