@@ -6,12 +6,14 @@ a configurable precision. CSV uses a fixed header order and LF line
 endings; the JSON schema is documented in docs/output-schema.md with a
 golden example.
 
-``table`` and ``simulate`` write each row as soon as it is produced, so
-a consumer that closes the pipe early stops the command. The engine
-yields integers only; every row's text is rendered here. A row is a
-ready line joined from fragments rendered once per call by
-:func:`_blocks`: the text of each tuple prefix the odometer steps and of
-each tail in its table, and the cells of each distinct ordering count.
+``table`` and ``simulate`` write their rows as they are rendered, so a
+consumer that closes the pipe early stops the command. The engine
+yields integers only; every row's text is rendered here. :func:`_blocks`
+brings each tuple prefix the odometer steps with its block of tails,
+the text of each prefix and of each tail in its table rendered once per
+call. In walk order, one generator expression over the blocks joins
+each row from those texts and the cells of its ordering count, rendered
+once per distinct count, and ``writelines`` writes the rows one by one.
 These lines, and those of ``stats``, are byte for byte what
 ``csv.writer`` and ``json.dumps(indent=2)`` would write.
 
@@ -130,11 +132,11 @@ def render_ascii(path: DyckPath) -> str:
 
 # Streamed JSON reproduces json.dumps(indent=2) byte for byte: each row
 # object sits at depth 2 and each list in it puts one element per line
-# at depth 4. A row is _JSON_ROW_OPEN, the tuple's elements joined by
-# _JSON_ITEM, then its cells: for table, _JSON_TABLE_CELLS, the path's
-# elements and _JSON_ROW_CLOSE; for simulate, _JSON_SIMULATE_CELLS. The
-# strings filled in are digits, "/" and "." only, which JSON never
-# escapes.
+# at depth 4. A row is ",\n", which _stream_json drops from the first,
+# _JSON_ROW_OPEN, the tuple's elements joined by _JSON_ITEM, then its
+# cells: for table, _JSON_TABLE_CELLS, the path's elements and
+# _JSON_ROW_CLOSE; for simulate, _JSON_SIMULATE_CELLS. The strings
+# filled in are digits, "/" and "." only, which JSON never escapes.
 _JSON_ITEM = ",\n        "
 _JSON_ROW_OPEN = '    {\n      "tuple": [\n        '
 _JSON_ROW_CLOSE = "\n      ]\n    }"
@@ -183,9 +185,13 @@ def _blocks(n: int, fmt: str, path: bool = False) -> Iterator[tuple[tuple, list]
     # heights lie in 0..n, entries in 1..n
     items = [f"{v}{sep}" for v in range(n + 1)]
 
+    # the path text of entry v after prev, rendered once per pair
+    climbs = _Cells(
+        lambda pv: "".join([items[h] for h in _climb((pv[1],), pv[0])]) if path else ""
+    )
+
     def entry(s: tuple, prev: int, v: int) -> tuple:
-        climb = "".join([items[h] for h in _climb((v,), prev)]) if path else ""
-        return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climb
+        return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climbs[prev, v]
 
     def tail(a: tuple, v: int) -> tuple:
         climb = sep.join(map(str, _climb(a, v))) + _JSON_ROW_CLOSE if path else ""
@@ -195,10 +201,16 @@ def _blocks(n: int, fmt: str, path: bool = False) -> Iterator[tuple[tuple, list]
     return _walk(n, start, entry, tail)
 
 
-def _rows(n: int, fmt: str, path: bool = False) -> Iterator[tuple[int, tuple, tuple]]:
-    """Every row of :func:`_blocks` as ``(count, head, tail)``, lexicographically."""
-    for head, block in _blocks(n, fmt, path):
-        yield from [(head[1] * t[1], head, t) for t in block]
+class _Cells(dict):
+    """``cells[key]`` is ``render(key)``, rendered once: a hit is a plain dict lookup."""
+
+    def __init__(self, render: Callable[[object], str]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: object) -> str:
+        text = self[key] = self.render(key)
+        return text
 
 
 def _json(value: object) -> str:
@@ -211,17 +223,17 @@ def _json(value: object) -> str:
 def _stream_json(head: dict, rows: Iterable[str], tail: Callable[[], dict]) -> None:
     """Write ``head``, ``rows`` and ``tail()`` as json.dumps(indent=2) would.
 
-    ``rows`` are the rendered elements of the ``"rows"`` list, each
-    written as soon as it is produced; ``tail`` is called after the last
-    one, so its fields, which follow the list, may report on them.
-    Neither may be empty.
+    ``rows`` are the rendered elements of the ``"rows"`` list, each led
+    by the ``",\\n"`` that separates it from the one before, which is
+    dropped from the first; each is written as soon as it is produced.
+    ``tail`` is called after the last one, so its fields, which follow
+    the list, may report on them. Neither may be empty.
     """
     out = sys.stdout  # looked up per call: callers may redirect stdout
     out.write(_json(head)[:-2] + ',\n  "rows": [\n')
     rows = iter(rows)
-    out.write(next(rows))
-    for row in rows:
-        out.write(",\n" + row)
+    out.write(next(rows)[2:])
+    out.writelines(rows)
     # tail's own object at depth 0 is its fields' text at depth 1
     out.write("\n  ]," + _json(tail())[1:] + "\n")
 
@@ -278,33 +290,32 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Write the table row by row, each joined from pre-rendered fragments.
+    """Write the table in one pass over the walk's blocks, each row joined from fragments.
 
     The blocks of :func:`_blocks` bring each prefix's head and its tails:
     a row's ordering count is the product of theirs, and its text comes
     in two parts, the head's and the tail's, whatever its length: the
     CSV cell, or the JSON row's opening, tuple and path. The cells that
     depend on the count alone (``p/q``, decimal, count) are rendered
-    once per distinct count. ``--sort lex`` writes the rows in walk
-    order, as :func:`_rows` flattens the blocks.
+    once per distinct count. ``--sort lex`` renders the rows in walk
+    order, each block's tails unpacked in one generator expression.
 
     ``--sort prob`` sorts by count classes, not rows: there are 286
     distinct counts at ``n = 10`` and 2,142 at ``n = 14``. The tails of
     each of the walk's blocks are split once by their own count, and
     each prefix appends its head and each such run of tails, the objects
     the walk shares, to one flat list per row count. The lists are
-    written from the highest count down, each dropped once written. A
-    prefix's rows enter a list in walk order, so ties stay
-    lexicographic.
+    written from the highest count down, each dropped once written: in
+    CSV one class per write, in JSON one row per write. A prefix's rows
+    enter a list in walk order, so ties stay lexicographic.
     """
     n, precision = args.n, args.precision
     _check_cap(n, _cap_override(args), "distribution table")
     den = math.factorial(2 * n)
     is_json = args.format == "json"
+    lead = ",\n" if is_json else ""  # what comes before a row
     template = _JSON_TABLE_CELLS if is_json else ",%s,%s,%s\n"
-    cells = functools.cache(
-        lambda c: template % (_ratio(c, den), _decimal(c, den, precision), c)
-    )
+    cells = _Cells(lambda c: template % (_ratio(c, den), _decimal(c, den, precision), c))
     if args.sort == "prob":
         classes: dict[int, list] = collections.defaultdict(list)
         # the walk yields the same few block lists over and over
@@ -323,14 +334,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         def descending() -> Iterator[tuple[str, Iterator]]:
             for count in sorted(classes, reverse=True):
                 flat = iter(classes.pop(count))
-                yield cells(count), zip(flat, flat)
+                yield cells[count], zip(flat, flat)
 
         if is_json:
             lines = (
-                f"{h[2]}{t[2]}{cell}{h[3]}{t[3]}"
+                f"{lead}{pre}{text}{cell}{climb}{rest}"
                 for cell, pairs in descending()
-                for h, tails in pairs
-                for t in tails
+                for (_, _, pre, climb), tails in pairs
+                for _, _, text, rest in tails
             )
         else:
             # a class's lines in one write
@@ -339,11 +350,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 for cell, pairs in descending()
             )
     else:
-        rows = _rows(n, args.format, path=is_json)
-        if is_json:
-            lines = (f"{h[2]}{t[2]}{cells(c)}{h[3]}{t[3]}" for c, h, t in rows)
-        else:
-            lines = (h[2] + t[2] + cells(c) for c, h, t in rows)
+        # One generator over the walk's blocks, so that rows are written
+        # as they are rendered: a list per block ran as fast but wrote in
+        # bursts that left a pipe's reader a full pipe far more often. In
+        # CSV the lead and the path texts are empty.
+        lines = (
+            f"{lead}{pre}{text}{cells[hc * c]}{climb}{rest}"
+            for (_, hc, pre, climb), block in _blocks(n, args.format, path=is_json)
+            for _, c, text, rest in block
+        )
     if is_json:
         _stream_json(
             {"n": n, "generator": "exact"},
@@ -402,12 +417,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    """Write each tuple's sampled count beside its exact law, row by row.
+    """Write each tuple's sampled count beside its exact law, in one pass over the blocks.
 
     The rows are rendered from the :func:`~sockpath.process.monte_carlo`
-    report, which holds only the tuples hit: :func:`_rows` supplies
+    report, which holds only the tuples hit: :func:`_blocks` supplies
     every row, hit or not, with its tuple, its ordering count and its
-    tuple text, as for ``table``, and the report's ``deviation`` gives
+    tuple text, as for ``table``, and each row looks up its hits by the
+    tuple its head and tail join to. The report's ``deviation`` gives
     each row's ``|hits/trials - count/(2n)!|`` as one integer over
     ``trials * (2n)!``. A row's cells depend on its ``(hits, count)``
     pair alone, so they are rendered once per distinct pair (4,538 of
@@ -448,15 +464,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             dev = _decimal(deviation(hit, count), scale, precision)
             return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law(count), dev)
 
-    rendered: dict[tuple[int, int], str] = {}
-
-    def lines() -> Iterator[str]:
-        for count, (pre, _, head, _), (a, _, text, _) in _rows(n, args.format):
-            key = hits.get(pre + a, 0), count
-            cell = rendered.get(key)
-            if cell is None:
-                cell = rendered[key] = cells(*key)
-            yield head + text + cell
+    rendered = _Cells(lambda key: cells(*key))
+    lead = ",\n" if args.format == "json" else ""  # what comes before a row
+    lines = (
+        f"{lead}{head}{text}{rendered[hits.get(pre + a, 0), hc * c]}"
+        for (pre, hc, head, _), block in _blocks(n, args.format)
+        for a, c, text, _ in block
+    )
 
     @functools.cache  # called once the rows are written, then reused
     def largest() -> int:
@@ -465,7 +479,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _stream_json(
             {"n": n, "generator": "simulation"},
-            lines(),
+            lines,
             lambda: {
                 "metadata": {
                     "seed": seed,
@@ -479,7 +493,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         out = sys.stdout
         out.write("tuple,count,frequency,probability,abs_deviation\n")
-        out.writelines(lines())
+        out.writelines(lines)
         out.write(f"max_abs_deviation,,,,{_decimal(largest(), scale, precision)}\n")
     return EXIT_OK
 
@@ -515,7 +529,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         _stream_json(
             {"n": args.n, "generator": "exact", "what": args.what},
-            ("    " + _json(row).replace("\n", "\n    ") for row in rows),
+            (",\n    " + _json(row).replace("\n", "\n    ") for row in rows),
             lambda: tail,
         )
     else:

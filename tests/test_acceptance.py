@@ -28,7 +28,7 @@ from sockpath import (
     tuple_probability,
     validate_ktuple,
 )
-from sockpath.cli import _rows
+from sockpath.cli import _blocks
 from sockpath.probability import _count_rows
 
 from conftest import follow_chain
@@ -102,7 +102,7 @@ def test_normalization_through_n12():
 def test_rows_follow_the_table_count_chain_n13():
     """Every row of order 13, tuple and ordering count, equals the chain's."""
     t0 = time.perf_counter()
-    csv_counts = ((h[0] + t[0], count) for count, h, t in _rows(13, "csv"))
+    csv_counts = ((h[0] + t[0], h[1] * t[1]) for h, block in _blocks(13, "csv") for t in block)
     rows = follow_chain(13, _count_rows(13), csv_counts)
     elapsed = time.perf_counter() - t0
     report(

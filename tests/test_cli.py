@@ -928,6 +928,13 @@ class TestStreamedJson:
             _stream_json(head, rows, lambda: {"metadata": metadata})
         return buf.getvalue()
 
+    @staticmethod
+    def _alone(row: str) -> str:
+        # a rendered row, led by the separator from the row before, as the
+        # only element of a list at its depth in the envelope
+        assert row[:2] == ",\n"
+        return '{\n  "rows": [\n' + row[2:] + '\n  ]\n}'
+
     @given(
         rows=st.lists(
             st.tuples(_split_lists(), _numeric_text, _numeric_text,
@@ -939,7 +946,8 @@ class TestStreamedJson:
     )
     @settings(max_examples=100)
     def test_table_template_is_json_dumps(self, rows, n, precision):
-        rendered = [_JSON_ROW_OPEN + _items(*t) + _JSON_TABLE_CELLS % (exact, decimal, count)
+        rendered = [",\n" + _JSON_ROW_OPEN + _items(*t)
+                    + _JSON_TABLE_CELLS % (exact, decimal, count)
                     + _items(*path) + _JSON_ROW_CLOSE
                     for t, exact, decimal, count, path in rows]
         objects = [{"tuple": t[0], "probability": exact, "probability_decimal": decimal,
@@ -948,8 +956,7 @@ class TestStreamedJson:
         head, metadata = {"n": n, "generator": "exact"}, {"precision": precision}
         for row, obj in zip(rendered, objects):
             # each row alone, at its depth in the envelope
-            text = json.dumps({"rows": [obj]}, indent=2)
-            assert text == '{\n  "rows": [\n' + row + '\n  ]\n}'
+            assert json.dumps({"rows": [obj]}, indent=2) == self._alone(row)
         assert self._streamed(head, rendered, metadata) == json.dumps(
             {**head, "rows": objects, "metadata": metadata}, indent=2) + "\n"
 
@@ -967,7 +974,7 @@ class TestStreamedJson:
     def test_simulate_template_is_json_dumps(self, rows, seed, trials, precision, worst):
         names = ("frequency", "frequency_decimal", "probability",
                  "probability_decimal", "abs_deviation", "abs_deviation_decimal")
-        rendered = [_JSON_ROW_OPEN + _items(*t) + _JSON_SIMULATE_CELLS % (hits, *texts)
+        rendered = [",\n" + _JSON_ROW_OPEN + _items(*t) + _JSON_SIMULATE_CELLS % (hits, *texts)
                     for t, hits, *texts in rows]
         objects = [{"tuple": t[0], "count": hits, **dict(zip(names, texts))}
                    for t, hits, *texts in rows]
@@ -975,8 +982,7 @@ class TestStreamedJson:
         metadata = {"seed": seed, "trials": trials, "precision": precision,
                     "max_abs_deviation": worst[0], "max_abs_deviation_decimal": worst[1]}
         for row, obj in zip(rendered, objects):
-            text = json.dumps({"rows": [obj]}, indent=2)
-            assert text == '{\n  "rows": [\n' + row + '\n  ]\n}'
+            assert json.dumps({"rows": [obj]}, indent=2) == self._alone(row)
         assert self._streamed(head, rendered, metadata) == json.dumps(
             {**head, "rows": objects, "metadata": metadata}, indent=2) + "\n"
 
@@ -1002,6 +1008,15 @@ class TestStreamedOutput:
             assert code == 0
             assert out == table_oracle(10, fmt, "prob", precision), precision
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_in_walk_order_with_a_two_digit_entry(self, cli, fmt):
+        # n = 10 is the first order with an entry of 10; its walk joins
+        # 637 prefixes to their blocks of tails
+        for precision in (6, 3):
+            code, out, _ = cli("table", "10", "--format", fmt, "--precision", str(precision))
+            assert code == 0
+            assert out == table_oracle(10, fmt, "lex", precision), precision
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_simulate_equals_report_rendering(self, cli, n):
         for seed, precision in ((0, 6), (7, 9), (2**63 + 5, 4)):
@@ -1010,6 +1025,15 @@ class TestStreamedOutput:
                                    "--format", fmt, "--precision", str(precision))
                 assert code == 0
                 assert out == simulate_oracle(n, 3000, seed, fmt, precision), (seed, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_with_a_two_digit_entry(self, cli, fmt):
+        # 20,000 trials over 16,796 rows: each block mixes rows hit and missed
+        for precision in (6, 3):
+            code, out, _ = cli("simulate", "10", "--trials", "20000", "--format", fmt,
+                               "--precision", str(precision))
+            assert code == 0
+            assert out == simulate_oracle(10, 20000, 0, fmt, precision), precision
 
 
 class TestBrokenPipe:

@@ -31,7 +31,7 @@ from sockpath import (
     validate_ktuple,
 )
 from sockpath import core
-from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _rows
+from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _blocks
 from sockpath.probability import _count_rows
 
 from conftest import assert_record, chain_rows, follow_chain, valid_ktuples
@@ -265,7 +265,7 @@ class TestCountRows:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_text_is_str_of_tuple(self, n):
         # entries reach 10 from n = 10 on; n = 12 walks the default _TAIL
-        cells = (h[2] + t[2] for _, h, t in _rows(n, "csv"))
+        cells = (h[2] + t[2] for h, block in _blocks(n, "csv") for t in block)
         for got, t in zip(cells, enumerate_ktuples(n), strict=True):
             assert got == csv_cell(str(t))
 
@@ -278,8 +278,9 @@ def csv_cell(text: str) -> str:
 
 
 def csv_counts(n: int):
-    # each CSV row's tuple and ordering count, as cli._rows builds them
-    return ((h[0] + t[0], count) for count, h, t in _rows(n, "csv"))
+    # each CSV row's tuple and ordering count, as the CLI joins them from
+    # a block's head and tail
+    return ((h[0] + t[0], h[1] * t[1]) for h, block in _blocks(n, "csv") for t in block)
 
 
 def started(rows):
@@ -350,14 +351,16 @@ class TestTailSeam:
             # row's opening with the tuple's elements and the path's
             # elements with the row's close.
             csv_rows = (
-                (h[0] + t[0], count, h[2] + t[2], h[3] + t[3])
-                for count, h, t in _rows(n, "csv")
+                (h[0] + t[0], h[1] * t[1], h[2] + t[2], h[3] + t[3])
+                for h, block in _blocks(n, "csv")
+                for t in block
             )
             for got, row, text in zip(csv_rows, rows, texts, strict=True):
                 assert got == (*row, quote + text + quote, "")
             json_rows = (
-                (h[0] + t[0], count, h[2] + t[2], h[3] + t[3])
-                for count, h, t in _rows(n, "json", path=True)
+                (h[0] + t[0], h[1] * t[1], h[2] + t[2], h[3] + t[3])
+                for h, block in _blocks(n, "json", path=True)
+                for t in block
             )
             for got, row, text, path in zip(json_rows, rows, texts, paths, strict=True):
                 assert got == (
