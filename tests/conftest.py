@@ -27,9 +27,13 @@ _LAUNCHER = (
 
 
 def peak_rss_kb(code: str, *argv: str) -> int:
-    """Peak RSS in kilobytes of a fresh ``python -c code *argv`` on ``src/``."""
+    """Peak RSS in kilobytes of a fresh ``python -c code *argv`` on ``src/``.
+
+    The caller's ``PYTHON*`` and ``SOCKPATH_*`` settings are dropped, so
+    that bytecode is cached and one worker runs, as for a user's shell.
+    """
     src = Path(sockpath.__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items() if k != "SOCKPATH_THREADS"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "SOCKPATH_"))}
     env["PYTHONPATH"] = str(src)
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, code, *argv],
