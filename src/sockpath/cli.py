@@ -14,8 +14,9 @@ the text of each prefix and of each tail in its table rendered once per
 call. In walk order, one generator expression over the blocks joins
 each row from those texts and the cells of its ordering count, rendered
 once per distinct count, and ``writelines`` writes the rows one by one.
-These lines, and those of ``stats``, are byte for byte what
-``csv.writer`` and ``json.dumps(indent=2)`` would write.
+These lines, and those of ``stats``'s CSV, are byte for byte what
+``csv.writer`` and ``json.dumps(indent=2)`` would write; ``stats``
+writes its JSON, at most ``n + 1`` rows, with one ``json.dump``.
 
 Exit codes are stable across subcommands: 0 success, 1 failed
 verification, 2 usage or parse error, 3 resource cap exceeded, 4 domain
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import math
 import os
 import sys
@@ -71,13 +71,20 @@ MAX_PRECISION = 4300
 # ----------------------------------------------------------------------
 
 def format_decimal(value: Fraction, precision: int) -> str:
-    """Correctly rounded (half-even) fixed-point rendering of a rational."""
-    return _decimal(value.numerator, value.denominator, precision)
+    """Correctly rounded (half-even) fixed-point rendering of a rational.
+
+    A negative value's magnitude is rounded, then signed; one that
+    rounds to zero is written unsigned, as ``round`` gives 0.
+    """
+    text = _decimal(abs(value.numerator), value.denominator, precision)
+    return "-" + text if value < 0 and text.strip("0.") else text
 
 
 def _decimal(num: int, den: int, precision: int) -> str:
-    # The digits of num/den do not depend on whether it is reduced: the
-    # quotient and the remainder's ratio to den are the same either way.
+    # For num >= 0 only: divmod floors, which would round a negative
+    # quotient the wrong way. The digits of num/den do not depend on
+    # whether it is reduced: the quotient and the remainder's ratio to
+    # den are the same either way.
     scale = 10 ** precision
     quotient, remainder = divmod(num * scale, den)
     if 2 * remainder > den or (2 * remainder == den and quotient % 2):
@@ -204,20 +211,13 @@ def _blocks(n: int, fmt: str, path: bool = False) -> Iterator[tuple[tuple, list]
 class _Cells(dict):
     """``cells[key]`` is ``render(key)``, rendered once: a hit is a plain dict lookup."""
 
-    def __init__(self, render: Callable[[object], str]) -> None:
+    def __init__(self, render: Callable[[object], str | tuple]) -> None:
         super().__init__()
         self.render = render
 
-    def __missing__(self, key: object) -> str:
+    def __missing__(self, key: object) -> str | tuple:
         text = self[key] = self.render(key)
         return text
-
-
-def _json(value: object) -> str:
-    """``json.dumps(value, indent=2)``; json loads only for the commands that write it."""
-    import json
-
-    return json.dumps(value, indent=2)
 
 
 def _stream_json(head: dict, rows: Iterable[str], tail: Callable[[], dict]) -> None:
@@ -229,13 +229,15 @@ def _stream_json(head: dict, rows: Iterable[str], tail: Callable[[], dict]) -> N
     ``tail`` is called after the last one, so its fields, which follow
     the list, may report on them. Neither may be empty.
     """
+    import json  # loaded only for the commands that write JSON
+
     out = sys.stdout  # looked up per call: callers may redirect stdout
-    out.write(_json(head)[:-2] + ',\n  "rows": [\n')
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [\n')
     rows = iter(rows)
     out.write(next(rows)[2:])
     out.writelines(rows)
     # tail's own object at depth 0 is its fields' text at depth 1
-    out.write("\n  ]," + _json(tail())[1:] + "\n")
+    out.write("\n  ]," + json.dumps(tail(), indent=2)[1:] + "\n")
 
 
 def _resolve_workers() -> int:
@@ -271,8 +273,8 @@ def _cap_override(args: argparse.Namespace, ceiling: int | None = None) -> int |
         return args.max_n
     print(
         f"warning: caps overridden to n <= {args.max_n}; costs grow like "
-        "Catalan(n) for table and simulate, (2n)! for verify, and n^2 or n^3 "
-        "for stats",
+        "Catalan(n) for table and simulate, (2n)! for verify, n for stats "
+        "--what xk and n^3 for stats --what max",
         file=sys.stderr,
     )
     return args.max_n
@@ -441,10 +443,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     den = math.factorial(2 * n)
     scale = trials * den
     # The cells after a row's tuple, from its hits and its ordering count;
-    # the exact law's cells are cached per ordering count, not per
+    # the exact law's cells are rendered once per ordering count, not per
     # (hits, count) pair.
     if args.format == "json":
-        law = functools.cache(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
+        law = _Cells(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
 
         def cells(hit: int, count: int) -> str:
             dev = deviation(hit, count)
@@ -452,17 +454,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 hit,
                 _ratio(hit, trials),
                 _decimal(hit, trials, precision),
-                *law(count),
+                *law[count],
                 _ratio(dev, scale),
                 _decimal(dev, scale, precision),
             )
 
     else:
-        law = functools.cache(lambda c: _ratio(c, den))
+        law = _Cells(lambda c: _ratio(c, den))
 
         def cells(hit: int, count: int) -> str:
             dev = _decimal(deviation(hit, count), scale, precision)
-            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law(count), dev)
+            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law[count], dev)
 
     rendered = _Cells(lambda key: cells(*key))
     lead = ",\n" if args.format == "json" else ""  # what comes before a row
@@ -472,8 +474,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for a, c, text, _ in block
     )
 
-    @functools.cache  # called once the rows are written, then reused
-    def largest() -> int:
+    def largest() -> int:  # called once, after the rows are written
         return max(deviation(*key) for key in rendered)
 
     if args.format == "json":
@@ -485,8 +486,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     "seed": seed,
                     "trials": trials,
                     "precision": precision,
-                    "max_abs_deviation": _ratio(largest(), scale),
-                    "max_abs_deviation_decimal": _decimal(largest(), scale, precision),
+                    "max_abs_deviation": _ratio(worst := largest(), scale),
+                    "max_abs_deviation_decimal": _decimal(worst, scale, precision),
                 }
             },
         )
@@ -513,25 +514,27 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         law = max_distribution(args.n, cap=cap)
         moments = []
     if args.format == "json":
-        # the fields after the rows: k, the moments, then the metadata
-        tail: dict = {"k": args.k} if args.what == "xk" else {}
-        for name, value in moments:
-            tail[name] = str(value)
-            tail[f"{name}_decimal"] = format_decimal(value, precision)
-        tail["metadata"] = {"precision": precision}
-        rows = (
+        import json  # loaded only for the commands that write JSON
+
+        # the rows, then k, the moments and the metadata
+        rows = [
             {
                 "height": h,
                 "probability": str(p),
                 "probability_decimal": format_decimal(p, precision),
             }
             for h, p in law.items()
-        )
-        _stream_json(
-            {"n": args.n, "generator": "exact", "what": args.what},
-            (",\n    " + _json(row).replace("\n", "\n    ") for row in rows),
-            lambda: tail,
-        )
+        ]
+        payload: dict = {"n": args.n, "generator": "exact", "what": args.what, "rows": rows}
+        if args.what == "xk":
+            payload["k"] = args.k
+        for name, value in moments:
+            payload[name] = str(value)
+            payload[f"{name}_decimal"] = format_decimal(value, precision)
+        payload["metadata"] = {"precision": precision}
+        # dump writes the text as it is encoded, never all of it at once
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
         # the moments follow the heights as rows of the same shape
         out = sys.stdout

@@ -22,13 +22,11 @@ API boundary: :func:`full_distribution` builds them there, while the
 Monte Carlo report compares its tallies with the integers and the CLI
 streams rows straight from them.
 
-Marginal statistics (the table count after draw ``k``, the running
-maximum) come from the Markov chain on the table count instead of an
-enumeration of tuples: with ``h`` socks on the table after ``i`` draws,
-``h`` of the ``2n - i`` socks left complete a pair and the others open
-one. Counting orderings height by height takes O(n^2) integer steps for
-the law after one draw and O(n^3) for the maximum; no closed forms are
-assumed.
+Marginal statistics enumerate no tuples. The set of the first ``k``
+socks alone fixes the table count after draw ``k``, so its law is a
+closed form. The running maximum counts Flajolet's Hermite histories,
+the perfect matchings of the draw positions, under each ceiling in
+O(n^2) integer steps.
 """
 
 from __future__ import annotations
@@ -55,9 +53,10 @@ __all__ = [
 # A public alias of Fraction, the type of every exact probability here.
 ExactProb = Fraction
 
-# Default caps of the height-count DP, each near a second on one core:
-# marginal_xk is O(n^2) big-integer steps (0.6 s at n = 1000) and
-# max_distribution O(n^3) (1.5 s at n = 200, 8 s at 300).
+# Default caps of the marginal laws: marginal_xk sums O(n) binomial
+# terms (0.1 s at n = 1000), and max_distribution walks O(n^3)
+# big-integer steps, about a second at its cap (1.0 s at n = 200, 3.8 s
+# at 300).
 _MARGINAL_CAP = 1000
 _MAX_LAW_CAP = 200
 
@@ -227,46 +226,45 @@ def _law_moments(law: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
     return mean, second - mean * mean
 
 
-def _height_counts(n: int, draws: int, ceiling: int) -> list[int]:
-    """Orderings of the first ``draws`` socks, indexed by the table count after them.
+def _hermite_histories(n: int, ceiling: int) -> int:
+    """Perfect matchings of the ``2n`` draw positions whose path never tops ``ceiling``.
 
-    Entry ``h`` counts the sequences of ``draws`` distinct socks out of
-    ``2n`` that leave ``h`` socks on the table and never put more than
-    ``ceiling`` there. From height ``h`` after ``i`` draws, ``h`` of the
-    ``2n - i`` socks left step down and the other ``2n - i - h`` step up.
+    A Dyck path stands for ``prod(k_i)`` matchings, one partner on the
+    table per down-step, so an up-step weighs 1 and a down-step from ``h``
+    weighs ``h``.
     """
-    counts = [1] + [0] * ceiling
-    for i in range(draws):
-        left = 2 * n - i
+    weights = [1] + [0] * ceiling
+    for _ in range(2 * n):
         nxt = [0] * (ceiling + 1)
-        for h, c in enumerate(counts):
-            if c:
+        for h, w in enumerate(weights):
+            if w:
                 if h:
-                    nxt[h - 1] += c * h
+                    nxt[h - 1] += w * h
                 if h < ceiling:
-                    nxt[h + 1] += c * (left - h)
-        counts = nxt
-    return counts
+                    nxt[h + 1] += w
+        weights = nxt
+    return weights[0]
 
 
 def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
     """Exact law of the table count after draw ``k``, with mean and variance.
 
-    The height counts of :func:`_height_counts` after ``k`` draws sum to
-    the ``(2n)! / (2n - k)!`` ordered choices of the first ``k`` socks;
-    each height's share of them is its probability.
+    ``C(n, j) * C(n - j, h) * 2^h`` of the ``C(2n, k)`` sets of the first
+    ``k`` socks complete ``j = (k - h) / 2`` pairs and leave ``h`` socks
+    on the table. Every such ``h`` has positive mass; keys ascend.
     """
     _check_cap(
-        n, cap, "marginal law", default=_MARGINAL_CAP, cost="O(n^2) height count"
+        n, cap, "marginal law", default=_MARGINAL_CAP, cost="O(n) binomial sum"
     )
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 2 * n:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
         )
-    total = math.perm(2 * n, k)
-    law = {
-        h: Fraction(c, total) for h, c in enumerate(_height_counts(n, k, n)) if c
-    }
+    total = math.comb(2 * n, k)
+    law: dict[int, Fraction] = {}
+    for h in range(k % 2, min(k, 2 * n - k) + 1, 2):
+        j = (k - h) // 2
+        law[h] = Fraction(math.comb(n, j) * math.comb(n - j, h) << h, total)
     mean, variance = _law_moments(law)
     return MarginalStat(n=n, k=k, law=law, mean=mean, variance=variance)
 
@@ -274,20 +272,19 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
 def max_distribution(n: int, *, cap: int | None = None) -> dict[int, Fraction]:
     """Exact law of the highest table count over a whole run.
 
-    Capping the heights of :func:`_height_counts` at ``m`` and running
-    all ``2n`` draws counts, at height 0, the orderings whose maximum is
-    at most ``m``; the mass at ``m`` is the difference between
-    consecutive caps. Every height ``1..n`` has positive mass. Keys
-    ascend; masses sum to 1.
+    Each of the ``(2n - 1)!!`` matchings stands for ``2^n * n!`` orderings,
+    so the mass at ``m`` is the share that :func:`_hermite_histories`
+    counts under ceiling ``m`` and not under ``m - 1``. Every height
+    ``1..n`` has positive mass. Keys ascend; masses sum to 1.
     """
     _check_cap(
         n, cap, "maximum law", default=_MAX_LAW_CAP, cost="O(n^3) height count"
     )
-    total = math.factorial(2 * n)
+    total = math.prod(range(1, 2 * n, 2))
     law: dict[int, Fraction] = {}
     below = 0
     for m in range(1, n + 1):
-        upto = _height_counts(n, 2 * n, m)[0]
+        upto = _hermite_histories(n, m)
         law[m] = Fraction(upto - below, total)
         below = upto
     return law

@@ -85,8 +85,9 @@ __all__ = [
 DEFAULT_BRUTE_FORCE_CAP = 5
 
 # A report holds only the tuples hit, but its rows() walk, which
-# max_abs_deviation and simulate take, visits all Catalan(n) tuples, so
-# the cap matches the enumeration default.
+# max_abs_deviation takes, and the CLI's walk of the table blocks, which
+# simulate takes, visit all Catalan(n) tuples, so the cap matches the
+# enumeration default.
 DEFAULT_SIMULATION_CAP = DEFAULT_ENUMERATION_CAP
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is

@@ -37,6 +37,13 @@ from conftest import peak_rss_kb
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
+def reference_decimal(value: Fraction, precision: int) -> str:
+    """Fixed point from ``round``, Fraction's own half-even rounding; shares no CLI code."""
+    units = round(value * 10**precision)
+    whole, frac = divmod(abs(units), 10**precision)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:0{precision}d}"
+
+
 class TestFormatDecimal:
     @pytest.mark.parametrize(
         "value,precision,expected",
@@ -52,10 +59,26 @@ class TestFormatDecimal:
             (Fraction(25, 1000), 2, "0.02"),
             (Fraction(35, 1000), 2, "0.04"),
             (Fraction(8, 63), 6, "0.126984"),
+            # a negative value's magnitude, rounded, then signed
+            (Fraction(-1, 3), 2, "-0.33"),
+            (Fraction(-5, 2), 2, "-2.50"),
+            (Fraction(-25, 1000), 2, "-0.02"),
+            (Fraction(-35, 1000), 2, "-0.04"),
+            # what rounds to zero carries no sign, as round() gives 0
+            (Fraction(-5, 1000), 2, "0.00"),
+            (Fraction(-1, 10**9), 6, "0.000000"),
         ],
     )
     def test_correct_rounding(self, value, precision, expected):
         assert format_decimal(value, precision) == expected
+        assert reference_decimal(value, precision) == expected
+
+    @given(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_matches_round(self, value, precision):
+        assert format_decimal(value, precision) == reference_decimal(value, precision)
 
 
 @pytest.fixture
@@ -87,7 +110,7 @@ def table_oracle(n: int, fmt: str, sort: str, precision: int) -> str:
         pairs.sort(key=lambda item: (-item[1], item[0]))
     rows = []
     for t, p in pairs:
-        exact, decimal = str(p), format_decimal(p, precision)
+        exact, decimal = str(p), reference_decimal(p, precision)
         count = str(sockpath.permutation_count(t))
         if fmt == "json":
             rows.append({"tuple": list(t), "probability": exact,
@@ -113,24 +136,24 @@ def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) ->
                 "tuple": list(t),
                 "count": hits[t],
                 "frequency": str(freq),
-                "frequency_decimal": format_decimal(freq, precision),
+                "frequency_decimal": reference_decimal(freq, precision),
                 "probability": str(prob),
-                "probability_decimal": format_decimal(prob, precision),
+                "probability_decimal": reference_decimal(prob, precision),
                 "abs_deviation": str(deviation),
-                "abs_deviation_decimal": format_decimal(deviation, precision),
+                "abs_deviation_decimal": reference_decimal(deviation, precision),
             })
         else:
             rows.append([str(t), str(hits[t]), str(freq), str(prob),
-                         format_decimal(deviation, precision)])
+                         reference_decimal(deviation, precision)])
     max_dev = max(deviations)
     if fmt == "csv":
-        rows.append(["max_abs_deviation", "", "", "", format_decimal(max_dev, precision)])
+        rows.append(["max_abs_deviation", "", "", "", reference_decimal(max_dev, precision)])
     metadata = {
         "seed": seed,
         "trials": trials,
         "precision": precision,
         "max_abs_deviation": str(max_dev),
-        "max_abs_deviation_decimal": format_decimal(max_dev, precision),
+        "max_abs_deviation_decimal": reference_decimal(max_dev, precision),
     }
     return _render(fmt, ["tuple", "count", "frequency", "probability", "abs_deviation"],
                    rows, {"n": n, "generator": "simulation"}, metadata)
@@ -692,7 +715,7 @@ class TestStats:
         assert code == 2
 
     def test_marginal_past_enumeration_cap(self, cli):
-        # the X_k law is an O(n^2) count with its own cap, past the
+        # the X_k law is a closed-form sum with its own cap, past the
         # enumeration cap of 14
         code, out, _ = cli("stats", "15", "--k", "3")
         assert code == 0
@@ -702,7 +725,7 @@ class TestStats:
     def test_dp_caps_name_the_dp(self, cli):
         code, _, err = cli("stats", "1001", "--k", "1")
         assert code == 3
-        assert "O(n^2) height count" in err and "Catalan" not in err
+        assert "O(n) binomial sum" in err and "Catalan" not in err
         code, _, err = cli("stats", "201", "--what", "max")
         assert code == 3
         assert "O(n^3) height count" in err and "Catalan" not in err

@@ -78,8 +78,9 @@ def oracle(request):
 # ----------------------------------------------------------------------
 # Enumeration oracles for the marginal laws: sum every valid tuple's
 # probability by its path's height after draw k, or by its largest entry
-# (the path's maximum). Catalan(n) work per law; the height recursion in
-# the package is gated against them wherever they run in reasonable time.
+# (the path's maximum). Catalan(n) work per law; the closed form and the
+# Hermite-history walk in the package are gated against them wherever
+# they run in reasonable time.
 # ----------------------------------------------------------------------
 
 def enumerated_xk_law(n, k):
@@ -98,15 +99,57 @@ def enumerated_max_law(n):
     return dict(sorted(law.items()))
 
 
-def assert_same_xk(n, k):
-    stat = marginal_xk(n, k)
-    law = enumerated_xk_law(n, k)
+def assert_same_stat(stat, law):
     # key order is output order for the CLI, so compare it too
     assert list(stat.law.items()) == list(law.items())
     mean = sum((h * p for h, p in law.items()), Fraction(0))
     second = sum((h * h * p for h, p in law.items()), Fraction(0))
     assert stat.mean == mean
     assert stat.variance == second - mean * mean
+
+
+def assert_same_xk(n, k):
+    assert_same_stat(marginal_xk(n, k), enumerated_xk_law(n, k))
+
+
+# ----------------------------------------------------------------------
+# Chain oracle for the marginal laws past the enumeration's reach: the
+# table-count Markov chain over distinguishable socks, stepped draw by
+# draw. It shares no formula with the package's closed form for X_k or
+# its Hermite-history weights for the maximum.
+# ----------------------------------------------------------------------
+
+def chain_height_counts(n, ceiling):
+    """After each draw ``1..2n``, the ordered draws so far by table count.
+
+    Entry ``h`` of the ``i``-th list counts the sequences of ``i``
+    distinct socks out of ``2n`` that leave ``h`` socks on the table and
+    never put more than ``ceiling`` there. From height ``h`` after ``i``
+    draws, ``h`` of the ``2n - i`` socks left step down and the other
+    ``2n - i - h`` step up.
+    """
+    counts = [1] + [0] * ceiling
+    for i in range(2 * n):
+        left = 2 * n - i
+        nxt = [0] * (ceiling + 1)
+        for h, c in enumerate(counts):
+            if c:
+                if h:
+                    nxt[h - 1] += c * h
+                if h < ceiling:
+                    nxt[h + 1] += c * (left - h)
+        counts = nxt
+        yield counts
+
+
+def chain_max_law(n):
+    # orderings whose maximum is at most m, differenced over m
+    law, below = {}, 0
+    for m in range(1, n + 1):
+        *_, last = chain_height_counts(n, m)
+        law[m] = Fraction(last[0] - below, math.factorial(2 * n))
+        below = last[0]
+    return law
 
 
 class TestTupleProbability:
@@ -424,9 +467,9 @@ class TestMarginals:
             marginal_xk(2, 5)
 
     def test_cap(self):
-        # the O(n^2) count has its own cap, far past the enumeration cap
+        # the closed form has its own cap, far past the enumeration cap
         assert marginal_xk(15, 1).law == {1: Fraction(1)}
-        with pytest.raises(ResourceLimitError, match=r"O\(n\^2\) height count"):
+        with pytest.raises(ResourceLimitError, match=r"O\(n\) binomial sum"):
             marginal_xk(1001, 1)
         assert marginal_xk(1001, 1, cap=1001).law == {1: Fraction(1)}
 
@@ -438,6 +481,13 @@ class TestMarginals:
     def test_matches_enumeration_n10(self):
         assert_same_xk(10, 10)
 
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matches_chain_every_k(self, n):
+        for k, counts in enumerate(chain_height_counts(n, n), 1):
+            total = math.perm(2 * n, k)
+            law = {h: Fraction(c, total) for h, c in enumerate(counts) if c}
+            assert_same_stat(marginal_xk(n, k, cap=n), law)
+
     @pytest.mark.parametrize("n", [14, 40])
     def test_mean_closed_form(self, n):
         # E[X_k] = k(2n - k)/(2n - 1): each of the first k socks is still
@@ -447,9 +497,11 @@ class TestMarginals:
 
     @pytest.mark.parametrize("n", [14, 40])
     def test_law_closed_form(self, n):
-        # After k draws with h socks on the table, j = (k - h)/2 pairs are
-        # complete: choose them, choose the h open pairs and the side drawn
-        # of each, then order the k socks.
+        # The formula marginal_xk sums, restated: not an independent check
+        # (the chain and the enumeration are). After k draws with h socks
+        # on the table, j = (k - h)/2 pairs are complete: choose them,
+        # choose the h open pairs and the side drawn of each, then order
+        # the k socks.
         for k in range(1, 2 * n + 1):
             expected = {}
             for h in range(k % 2, k + 1, 2):
@@ -483,6 +535,11 @@ class TestMaxDistribution:
         law = max_distribution(n)
         assert list(law.items()) == list(enumerated_max_law(n).items())
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_chain(self, n):
+        law = max_distribution(n, cap=n)
+        assert list(law.items()) == list(chain_max_law(n).items())
+
     @pytest.mark.parametrize("n", [14, 40])
     def test_full_height_closed_form(self, n):
         # The maximum is n iff the first n draws are n different pairs.
@@ -493,7 +550,8 @@ class TestMaxDistribution:
 
     @pytest.mark.parametrize("n", [14, 40])
     def test_matches_hermite_histories(self, n):
-        # Each Dyck path of maximum at most m stands for prod(k) of the
+        # The walk max_distribution runs, restated: not an independent
+        # check (the chain and the enumeration are). Each Dyck path of maximum at most m stands for prod(k) of the
         # (2n - 1)!! perfect matchings of the socks' draw positions
         # (Flajolet's Hermite histories): weigh a down-step from height h
         # by h and an up-step by 1, and sum the paths below the ceiling.
@@ -516,7 +574,7 @@ class TestMaxDistribution:
         assert len(law) == n
 
     def test_cap(self):
-        # the O(n^3) count has its own cap, past the enumeration cap
+        # the O(n^3) walk has its own cap, past the enumeration cap
         assert sum(max_distribution(60).values(), Fraction(0)) == 1
         with pytest.raises(ResourceLimitError, match=r"O\(n\^3\) height count"):
             max_distribution(201)
