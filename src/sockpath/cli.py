@@ -442,29 +442,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hits, deviation = report.hits, report.deviation
     den = math.factorial(2 * n)
     scale = trials * den
-    # The cells after a row's tuple, from its hits and its ordering count;
-    # the exact law's cells are rendered once per ordering count, not per
-    # (hits, count) pair.
-    if args.format == "json":
-        law = _Cells(lambda c: (_ratio(c, den), _decimal(c, den, precision)))
+    # The cells after a row's tuple, from its hits and its ordering count:
+    # the hits, then the frequency, the exact law and the deviation, each
+    # as p/q and as a decimal. CSV's template drops (%.0s) the frequency's
+    # and the law's decimals and the deviation's p/q. The frequency's and
+    # the law's texts are rendered once per hit count and per ordering
+    # count, not per (hits, count) pair.
+    texts = _Cells(lambda key: (_ratio(*key), _decimal(*key, precision)))
+    template = _JSON_SIMULATE_CELLS if args.format == "json" else ",%d,%s%.0s,%s%.0s%.0s,%s\n"
 
-        def cells(hit: int, count: int) -> str:
-            dev = deviation(hit, count)
-            return _JSON_SIMULATE_CELLS % (
-                hit,
-                _ratio(hit, trials),
-                _decimal(hit, trials, precision),
-                *law[count],
-                _ratio(dev, scale),
-                _decimal(dev, scale, precision),
-            )
-
-    else:
-        law = _Cells(lambda c: _ratio(c, den))
-
-        def cells(hit: int, count: int) -> str:
-            dev = _decimal(deviation(hit, count), scale, precision)
-            return ",%d,%s,%s,%s\n" % (hit, _ratio(hit, trials), law[count], dev)
+    def cells(hit: int, count: int) -> str:
+        dev = deviation(hit, count)
+        return template % (
+            hit,
+            *texts[hit, trials],
+            *texts[count, den],
+            _ratio(dev, scale),
+            _decimal(dev, scale, precision),
+        )
 
     rendered = _Cells(lambda key: cells(*key))
     lead = ",\n" if args.format == "json" else ""  # what comes before a row

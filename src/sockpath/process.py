@@ -55,6 +55,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+# The package keeps the export list: it binds these names lazily, without
+# importing numpy.
+from . import _PROCESS_NAMES as __all__
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     DyckPath,
@@ -65,19 +68,6 @@ from .core import (
 )
 from .errors import MalformedInputError
 from .probability import _count_rows
-
-__all__ = [
-    "DEFAULT_BRUTE_FORCE_CAP",
-    "DEFAULT_SIMULATION_CAP",
-    "Sock",
-    "SockSequence",
-    "ProcessTrace",
-    "SimulationReport",
-    "run_process",
-    "random_permutation",
-    "monte_carlo",
-    "brute_force_counts",
-]
 
 # (2*5)! = 3,628,800 orderings walk in about 50 ms on one worker. n = 6
 # has 12 * 11 = 132 times as many, some 5 s on one core of a 2-vCPU

@@ -1,7 +1,10 @@
 """Shared hypothesis strategies for sock-sorting objects, a peak-RSS probe,
-a record check and the table-count chain, the reference for every row."""
+a record check, and two references that share no code with sockpath: the
+table-count chain, for every row, and a walk of every ordering."""
 
 import copy
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -92,6 +95,16 @@ def chain_rows(n: int):
             stack.append((i + 1, h - 1, count * h, h))
 
 
+@functools.cache
+def chain_table(n: int) -> tuple:
+    """:func:`chain_rows` of order ``n`` as a tuple, built once per order.
+
+    For references that read the rows more than once; at order 11 the
+    table holds 58,786 rows.
+    """
+    return tuple(chain_rows(n))
+
+
 def follow_chain(n: int, *streams) -> int:
     """Check each stream's ``(tuple, orderings)`` rows against :func:`chain_rows`.
 
@@ -111,6 +124,38 @@ def follow_chain(n: int, *streams) -> int:
     assert orderings == math.factorial(2 * n)
     assert products == math.prod(range(1, 2 * n, 2))
     return rows
+
+
+def oracle_statistics(n: int):
+    """Walk every ordering of ``2n`` labelled socks with a plain table simulation.
+
+    Returns the ordering counts by completion-height tuple, by path
+    maximum, and by height after each draw (one dict per draw). Written
+    from the model description, sharing no code with sockpath; ``(2n)!``
+    orderings, so for n <= 4.
+    """
+    socks = [(t, s) for t in range(1, n + 1) for s in (0, 1)]
+    tuple_counts = {}
+    max_counts = {}
+    height_counts = [dict() for _ in range(2 * n)]
+    for order in itertools.permutations(socks):
+        on_table = set()
+        completion_heights = []
+        heights = []
+        for sock_type, _side in order:
+            if sock_type in on_table:
+                completion_heights.append(len(on_table))
+                on_table.remove(sock_type)
+            else:
+                on_table.add(sock_type)
+            heights.append(len(on_table))
+        key = tuple(completion_heights)
+        tuple_counts[key] = tuple_counts.get(key, 0) + 1
+        m = max(heights)
+        max_counts[m] = max_counts.get(m, 0) + 1
+        for i, h in enumerate(heights):
+            height_counts[i][h] = height_counts[i].get(h, 0) + 1
+    return tuple_counts, max_counts, height_counts
 
 
 @st.composite

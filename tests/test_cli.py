@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,7 +33,7 @@ from sockpath.cli import (
     main,
 )
 
-from conftest import peak_rss_kb
+from conftest import chain_table, peak_rss_kb
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -103,38 +104,49 @@ def _render(fmt: str, header: list, rows: list, head: dict, metadata: dict) -> s
     return buf.getvalue()
 
 
+def _tuple_text(t: tuple) -> str:
+    return "(" + ",".join(map(str, t)) + ")"
+
+
 def table_oracle(n: int, fmt: str, sort: str, precision: int) -> str:
-    """``table`` output from per-row Fractions, checked counts and paths."""
-    pairs = [(t, sockpath.tuple_probability(t)) for t in sockpath.enumerate_ktuples(n)]
+    """``table`` output from the table-count chain's rows: shares no code with sockpath."""
+    den = math.factorial(2 * n)
+    chain = chain_table(n)
     if sort == "prob":
-        pairs.sort(key=lambda item: (-item[1], item[0]))
+        chain = sorted(chain, key=lambda row: (-row[1], row[0]))
     rows = []
-    for t, p in pairs:
+    for t, count, path in chain:
+        p = Fraction(count, den)
         exact, decimal = str(p), reference_decimal(p, precision)
-        count = str(sockpath.permutation_count(t))
         if fmt == "json":
             rows.append({"tuple": list(t), "probability": exact,
-                         "probability_decimal": decimal, "count": count,
-                         "path": list(sockpath.path_of_ktuple(t))})
+                         "probability_decimal": decimal, "count": str(count),
+                         "path": list(path)})
         else:
-            rows.append([str(t), exact, decimal, count])
+            rows.append([_tuple_text(t), exact, decimal, str(count)])
     return _render(fmt, ["tuple", "probability", "probability_decimal", "count"],
                    rows, {"n": n, "generator": "exact"}, {"precision": precision})
 
 
 def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) -> str:
-    """``simulate`` output rendered from per-row Fractions and a report's hit counts."""
-    hits = sockpath.monte_carlo(n, trials, seed).empirical
+    """``simulate`` output from the chain's rows and a report's sampled hits.
+
+    Only the hits come from sockpath; the rows, the exact law and the
+    rendering share no code with it.
+    """
+    hits = sockpath.monte_carlo(n, trials, seed).hits
+    den = math.factorial(2 * n)
     rows = []
     deviations = []
-    for t in sockpath.enumerate_ktuples(n):
-        freq, prob = Fraction(hits[t], trials), sockpath.tuple_probability(t)
+    for t, count, _ in chain_table(n):
+        hit = hits.get(t, 0)
+        freq, prob = Fraction(hit, trials), Fraction(count, den)
         deviation = abs(freq - prob)
         deviations.append(deviation)
         if fmt == "json":
             rows.append({
                 "tuple": list(t),
-                "count": hits[t],
+                "count": hit,
                 "frequency": str(freq),
                 "frequency_decimal": reference_decimal(freq, precision),
                 "probability": str(prob),
@@ -143,7 +155,7 @@ def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) ->
                 "abs_deviation_decimal": reference_decimal(deviation, precision),
             })
         else:
-            rows.append([str(t), str(hits[t]), str(freq), str(prob),
+            rows.append([_tuple_text(t), str(hit), str(freq), str(prob),
                          reference_decimal(deviation, precision)])
     max_dev = max(deviations)
     if fmt == "csv":

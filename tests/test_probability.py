@@ -34,39 +34,14 @@ from sockpath import core
 from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _blocks
 from sockpath.probability import _count_rows
 
-from conftest import assert_record, chain_rows, follow_chain, valid_ktuples
-
-
-# ----------------------------------------------------------------------
-# Independent oracle: walk every ordering of 2n labelled socks with a
-# plain table simulation, written from the model description and using
-# nothing from the package under test.
-# ----------------------------------------------------------------------
-
-def oracle_statistics(n):
-    """Map tuple -> (ordering count, path max count per height, height after each draw)."""
-    socks = [(t, s) for t in range(1, n + 1) for s in (0, 1)]
-    tuple_counts = {}
-    max_counts = {}
-    height_counts = [dict() for _ in range(2 * n)]
-    for order in itertools.permutations(socks):
-        on_table = set()
-        completion_heights = []
-        heights = []
-        for sock_type, _side in order:
-            if sock_type in on_table:
-                completion_heights.append(len(on_table))
-                on_table.remove(sock_type)
-            else:
-                on_table.add(sock_type)
-            heights.append(len(on_table))
-        key = tuple(completion_heights)
-        tuple_counts[key] = tuple_counts.get(key, 0) + 1
-        m = max(heights)
-        max_counts[m] = max_counts.get(m, 0) + 1
-        for i, h in enumerate(heights):
-            height_counts[i][h] = height_counts[i].get(h, 0) + 1
-    return tuple_counts, max_counts, height_counts
+from conftest import (
+    assert_record,
+    chain_rows,
+    chain_table,
+    follow_chain,
+    oracle_statistics,
+    valid_ktuples,
+)
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3, 4])
@@ -76,27 +51,29 @@ def oracle(request):
 
 
 # ----------------------------------------------------------------------
-# Enumeration oracles for the marginal laws: sum every valid tuple's
-# probability by its path's height after draw k, or by its largest entry
-# (the path's maximum). Catalan(n) work per law; the closed form and the
-# Hermite-history walk in the package are gated against them wherever
-# they run in reasonable time.
+# Chain-sum oracles for the marginal laws: sum every row of the
+# table-count chain (conftest.chain_rows) by its path's height after draw
+# k, or by its path's maximum. Catalan(n) work per law and no code shared
+# with the package; the closed form and the Hermite-history walk in the
+# package are gated against them wherever they run in reasonable time.
 # ----------------------------------------------------------------------
 
+def _chain_law(n, height):
+    # orderings by height(path), over the (2n)! orderings
+    counts = {}
+    for _, count, path in chain_table(n):
+        h = height(path)
+        counts[h] = counts.get(h, 0) + count
+    total = math.factorial(2 * n)
+    return {h: Fraction(c, total) for h, c in sorted(counts.items())}
+
+
 def enumerated_xk_law(n, k):
-    law = {}
-    for t in enumerate_ktuples(n):
-        h = path_of_ktuple(t)[k - 1]
-        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
-    return dict(sorted(law.items()))
+    return _chain_law(n, lambda path: path[k - 1])
 
 
 def enumerated_max_law(n):
-    law = {}
-    for t in enumerate_ktuples(n):
-        h = max(t)
-        law[h] = law.get(h, Fraction(0)) + tuple_probability(t)
-    return dict(sorted(law.items()))
+    return _chain_law(n, max)
 
 
 def assert_same_stat(stat, law):
@@ -113,7 +90,7 @@ def assert_same_xk(n, k):
 
 
 # ----------------------------------------------------------------------
-# Chain oracle for the marginal laws past the enumeration's reach: the
+# Chain oracle for the marginal laws past the chain sums' reach: the
 # table-count Markov chain over distinguishable socks, stepped draw by
 # draw. It shares no formula with the package's closed form for X_k or
 # its Hermite-history weights for the maximum.
@@ -498,10 +475,10 @@ class TestMarginals:
     @pytest.mark.parametrize("n", [14, 40])
     def test_law_closed_form(self, n):
         # The formula marginal_xk sums, restated: not an independent check
-        # (the chain and the enumeration are). After k draws with h socks
-        # on the table, j = (k - h)/2 pairs are complete: choose them,
-        # choose the h open pairs and the side drawn of each, then order
-        # the k socks.
+        # (the chain walk and the chain sums are). After k draws with h
+        # socks on the table, j = (k - h)/2 pairs are complete: choose
+        # them, choose the h open pairs and the side drawn of each, then
+        # order the k socks.
         for k in range(1, 2 * n + 1):
             expected = {}
             for h in range(k % 2, k + 1, 2):
@@ -551,10 +528,11 @@ class TestMaxDistribution:
     @pytest.mark.parametrize("n", [14, 40])
     def test_matches_hermite_histories(self, n):
         # The walk max_distribution runs, restated: not an independent
-        # check (the chain and the enumeration are). Each Dyck path of maximum at most m stands for prod(k) of the
-        # (2n - 1)!! perfect matchings of the socks' draw positions
-        # (Flajolet's Hermite histories): weigh a down-step from height h
-        # by h and an up-step by 1, and sum the paths below the ceiling.
+        # check (the chain walk and the chain sums are). Each Dyck path of
+        # maximum at most m stands for prod(k) of the (2n - 1)!! perfect
+        # matchings of the socks' draw positions (Flajolet's Hermite
+        # histories): weigh a down-step from height h by h and an up-step
+        # by 1, and sum the paths below the ceiling.
         def below(m):
             weights = {0: 1}
             for _ in range(2 * n):

@@ -37,7 +37,7 @@ from sockpath import (
 from sockpath import process
 from sockpath.process import _decode_codes, _path_codes, _run_chunks, _tally_codes
 
-from conftest import assert_record, peak_rss_kb, sock_orders
+from conftest import assert_record, oracle_statistics, peak_rss_kb, sock_orders
 
 
 class TestRunProcess:
@@ -269,21 +269,9 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_independent_oracle(self, n):
-        # plain itertools walk, written independently of the chunked engine
-        socks = [(t, s) for t in range(1, n + 1) for s in (0, 1)]
-        expected = {}
-        for order in itertools.permutations(socks):
-            on_table = set()
-            ks = []
-            for sock_type, _ in order:
-                if sock_type in on_table:
-                    ks.append(len(on_table))
-                    on_table.remove(sock_type)
-                else:
-                    on_table.add(sock_type)
-            key = KTuple(tuple(ks))
-            expected[key] = expected.get(key, 0) + 1
-        assert brute_force_counts(n) == expected
+        # the plain itertools walk, written independently of the chunked engine
+        tuple_counts, _, _ = oracle_statistics(n)
+        assert brute_force_counts(n) == tuple_counts
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_oracle_identity(self, n):
