@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -628,10 +629,16 @@ class TestOpenBlasThreads:
         assert exc.value.code == 0
         return seen[0]
 
-    def test_run_defaults_to_one_thread(self, monkeypatch, unset):
+    @pytest.fixture
+    def thaw(self):
+        # run() freezes the heap before it exits; this process keeps collecting
+        yield
+        gc.unfreeze()
+
+    def test_run_defaults_to_one_thread(self, monkeypatch, unset, thaw):
         assert self._run_sees(monkeypatch) == "1"
 
-    def test_run_keeps_the_users_value(self, monkeypatch):
+    def test_run_keeps_the_users_value(self, monkeypatch, thaw):
         monkeypatch.setenv(self.NAME, "4")
         assert self._run_sees(monkeypatch) == "4"
 
@@ -1069,6 +1076,98 @@ class TestStreamedOutput:
                                "--precision", str(precision))
             assert code == 0
             assert out == simulate_oracle(10, 20000, 0, fmt, precision), precision
+
+
+def launch(*argv: str, code: str = "from sockpath.cli import run; run()"):
+    """A fresh ``python -c code *argv`` on ``src/``, its output captured."""
+    src = Path(sockpath.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60
+    )
+
+
+class TestRunExit:
+    """How run(), the console script's body, ends the process."""
+
+    def _events(self, monkeypatch, tmp_path, main, flush=lambda: None):
+        # run()'s calls to main, stdout's flush and gc.freeze, in order,
+        # and the code it exits with; the calls are also kept in self.events
+        events = self.events = []
+        target = open(tmp_path / "stdout", "wb")  # the broken-pipe path points it at devnull
+
+        class Stdout:  # no reconfigure, which run() then leaves alone
+            def flush(self):
+                events.append("flush")
+                flush()
+
+            def fileno(self):
+                return target.fileno()
+
+        def spy_main():
+            events.append("main")
+            return main()
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        monkeypatch.setattr(sockpath.cli, "main", spy_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        try:
+            with pytest.raises(SystemExit) as exc:
+                sockpath.cli.run()
+        finally:
+            target.close()
+        return events, exc.value.code
+
+    def test_freezes_once_after_the_command_and_the_flush(self, monkeypatch, tmp_path):
+        for code in (0, 1, 3):
+            assert self._events(monkeypatch, tmp_path, lambda: code) == (
+                ["main", "flush", "freeze"], code
+            )
+
+    def test_freezes_once_on_the_broken_pipe_path(self, monkeypatch, tmp_path):
+        def gone():
+            raise BrokenPipeError
+
+        # the reader leaves during the command, or before the last flush
+        assert self._events(monkeypatch, tmp_path, gone) == (["main", "freeze"], 141)
+        assert self._events(monkeypatch, tmp_path, lambda: 0, flush=gone) == (
+            ["main", "flush", "freeze"], 141
+        )
+
+    def test_an_escaping_exception_is_not_frozen_over(self, monkeypatch, tmp_path):
+        def fail():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            self._events(monkeypatch, tmp_path, fail)
+        assert self.events == ["main"]
+
+    def test_the_heap_is_frozen_when_atexit_runs(self, cli):
+        probe = launch(
+            "stats", "1", "--k", "1",
+            code="import atexit, gc, sys; atexit.register(lambda: print("
+            "'frozen' if gc.get_freeze_count() > 0 else 'not frozen', file=sys.stderr)); "
+            "from sockpath.cli import run; run()",
+        )
+        assert probe.returncode == 0
+        assert probe.stderr == b"frozen\n"
+        # the final flush still wrote everything the command printed
+        assert probe.stdout.decode() == cli("stats", "1", "--k", "1")[1]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(("prob", "2,x"), 2), (("table", "15"), 3), (("path", "2,2"), 4)],
+        ids=["usage", "resource", "invalid"],
+    )
+    def test_error_exit_codes(self, cli, argv, code):
+        proc = launch(*argv)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+        # one line, main()'s own, with no traceback
+        err = proc.stderr.decode()
+        assert err == cli(*argv)[2]
+        assert err.startswith("sockpath: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestBrokenPipe:
