@@ -31,8 +31,7 @@ import gc
 import math
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DyckPath,
@@ -50,6 +49,9 @@ from .errors import (
     ValidityError,
 )
 from .probability import _count_rows, marginal_xk, max_distribution, tuple_probability
+
+if TYPE_CHECKING:  # only prob and stats, which build Fractions, load fractions
+    from fractions import Fraction
 
 __all__ = ["main", "run"]
 

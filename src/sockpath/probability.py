@@ -32,11 +32,16 @@ O(n^2) integer steps.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .core import KTuple, _check_cap, _walk, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
+
+# Each function that builds a Fraction imports it, so that the commands
+# that build none (table, path, ktuple, verify, simulate) load neither
+# fractions nor the decimal module it imports.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DistributionTable",
@@ -82,6 +87,8 @@ def tuple_probability(t: KTuple | Iterable[int]) -> Fraction:
     a modeled outcome, not an error). Malformed input raises
     :class:`MalformedInputError`.
     """
+    from fractions import Fraction
+
     k = KTuple(t)
     try:
         return Fraction(permutation_count(k), math.factorial(2 * len(k)))
@@ -185,6 +192,8 @@ class DistributionTable:
         Summed as integers over the least common denominator, which is
         ``(2n)!`` or a divisor of it for a table this module built.
         """
+        from fractions import Fraction
+
         values = self.entries.values()
         den = math.lcm(*(p.denominator for p in values))
         return Fraction(sum(p.numerator * (den // p.denominator) for p in values), den)
@@ -197,6 +206,8 @@ def full_distribution(n: int, *, cap: int | None = None) -> DistributionTable:
     there is no global cache.
     """
     _check_cap(n, cap, "distribution table")
+    from fractions import Fraction
+
     denominator = math.factorial(2 * n)
     entries = {t: Fraction(c, denominator) for t, c in _count_rows(n)}
     return DistributionTable(n=n, entries=entries)
@@ -252,6 +263,8 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
         )
+    from fractions import Fraction
+
     total = math.comb(2 * n, k)
     law: dict[int, Fraction] = {}
     for h in range(k % 2, min(k, 2 * n - k) + 1, 2):
@@ -273,6 +286,8 @@ def max_distribution(n: int, *, cap: int | None = None) -> dict[int, Fraction]:
     _check_cap(
         n, cap, "maximum law", default=_MAX_LAW_CAP, cost="O(n^3) height count"
     )
+    from fractions import Fraction
+
     total = math.prod(range(1, 2 * n, 2))
     law: dict[int, Fraction] = {}
     below = 0

@@ -19,9 +19,13 @@ Two verification engines live here:
   which one lexicographic table of suffix permutations arranges. The
   suffix draws are walked as a tree: orderings that share their first
   ``j`` suffix draws share those steps, and the last draw, which always
-  completes a pair, is not walked. Chunk tallies merge by summation.
-  Chunk boundaries do not depend on the worker count, so results never
-  do either.
+  completes a pair, is not walked. The two socks left before it are one
+  pair or two socks that each close an open pair, so both of their
+  orders give one path: each walked leaf stands for both, and is counted
+  twice. Each worker writes its walks into one set of buffers that it
+  keeps for the whole call, and the last draw's codes are sorted where
+  they lie. Chunk tallies merge by summation. Chunk boundaries do not
+  depend on the worker count, so results never do either.
 * :func:`monte_carlo` samples orderings uniformly by shuffling tiles of
   sock ids. Trials are cut into fixed chunks of at most 500,000 rows,
   and chunk ``i`` draws from its own counter-based stream,
@@ -49,9 +53,9 @@ import itertools
 import math
 import os
 import random
+import threading
 from collections import Counter
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -69,9 +73,13 @@ from .core import (
 from .errors import MalformedInputError
 from .probability import _count_rows
 
-# (2*5)! = 3,628,800 orderings walk in about 50 ms on one worker. n = 6
-# has 12 * 11 = 132 times as many, some 5 s on one core of a 2-vCPU
-# machine: no longer an interactive check, so the default stops at 5.
+if TYPE_CHECKING:  # max_abs_deviation imports it: sampling builds no Fraction
+    from fractions import Fraction
+
+# (2*5)! = 3,628,800 orderings walk in about 12 ms on one worker, each
+# walked leaf standing for both orders of the last two socks. n = 6 has
+# 12 * 11 = 132 times as many, about 1 s on one core of a 2-vCPU
+# machine, and n = 7 another 182 times that: the default stops at 5.
 DEFAULT_BRUTE_FORCE_CAP = 5
 
 # A report holds only the tuples hit, but its rows() walk, which
@@ -81,7 +89,7 @@ DEFAULT_BRUTE_FORCE_CAP = 5
 DEFAULT_SIMULATION_CAP = DEFAULT_ENUMERATION_CAP
 
 # Largest n brute force accepts whatever the cap. Already (2*10)! is
-# about 2.4e18 orderings, some 1,500 years at fifty million a second;
+# about 2.4e18 orderings, some 240 years at 320 million a second;
 # 22! is a thousand times more. Nothing past it can be walked.
 _MAX_WALKABLE_N = 10
 
@@ -211,7 +219,7 @@ def random_permutation(n: int, rng: random.Random) -> SockSequence:
 def _state_dtype(n: int) -> type:
     # A walk's seen mask has n bits and its path code 2n - 1: both fit
     # the narrowest signed integer whose value bits hold 2n, from int16
-    # on, as np.unique sorts int8 codes about fifteen times slower.
+    # on, as numpy sorts int8 codes about fifteen times slower.
     widths = (np.int16, np.int32, np.int64)
     return next(t for t in widths if 2 * n < np.iinfo(t).bits)
 
@@ -225,26 +233,33 @@ def _tile_rows(n: int) -> int:
     return max(1, _TILE_ITEMS // (2 * n))
 
 
-def _walk(types: Iterable[np.ndarray], dtype: type) -> np.ndarray:
+def _walk(
+    bits: Iterable[np.ndarray],
+    dtype: type,
+    codes: Iterable[np.ndarray | None] = itertools.repeat(None),
+) -> np.ndarray:
     """Run a batch of walks from an empty table; return their path codes.
 
-    Item ``i`` of ``types`` holds draw ``i``'s pair type for every walk.
-    Each draw shifts the code left and sets its low bit for an up-step,
-    the first sock of its type, so codes order as their paths do:
-    lexicographically. Each walk's mask of types drawn so far (``seen``)
-    and its code are kept as ``dtype``. Both callers leave out the last
-    draw, which always completes a pair. An item may broadcast against
-    the state so far: brute force walks its suffix draws as a tree, and
-    each suffix draw adds a leading axis that branches every node.
+    Item ``i`` of ``bits`` holds ``1 << t`` for draw ``i``'s pair type
+    ``t``, for every walk, as ``dtype``. Each draw shifts the code left
+    and sets its low bit for an up-step, the first sock of its type, so
+    codes order as their paths do: lexicographically. A draw is an
+    up-step when it changes the mask of types drawn so far (``seen``),
+    which is written over its item, so each item must be writable and of
+    no further use to the caller. Both callers leave out the last draw,
+    which always completes a pair. An item may broadcast against the
+    state so far: brute force walks its suffix draws as a tree, and each
+    suffix draw but the folded last one adds a leading axis that branches
+    every node. Item ``i`` of ``codes``, when it is an array, takes draw
+    ``i``'s codes; otherwise numpy allocates them.
     """
-    seen = code = bit = 0
-    for row in types:
-        # A draw's bit joins seen at the next step, so no pass is spent
-        # on the last one.
-        seen = seen | bit
-        bit = np.left_shift(1, row, dtype=dtype)
-        # astype: OR-ing a bool array into the codes doubles brute force's time
-        code = code << 1 | ((seen & bit) == 0).astype(dtype)
+    seen = code = dtype(0)
+    for row, out in zip(bits, codes):
+        now = np.bitwise_or(seen, row, out=row)
+        # in place: the codes of the draw before have no other reader
+        code <<= 1
+        code = np.bitwise_or(np.not_equal(now, seen, out=out), code, out=out)
+        seen = now
     return code
 
 
@@ -258,8 +273,9 @@ def _path_codes(perm: np.ndarray) -> np.ndarray:
     Ids of any integer dtype are walked as int8 types; Monte Carlo passes
     one tile of at most ``_TILE_ITEMS`` ids at a time.
     """
+    dtype = _state_dtype(perm.shape[1] // 2)
     types = perm[:, :-1].T.astype(np.int8) >> 1
-    return _walk(types, _state_dtype(perm.shape[1] // 2))
+    return _walk(np.left_shift(1, types, dtype=dtype), dtype)
 
 
 def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
@@ -287,9 +303,18 @@ def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
     return tuples
 
 
-def _tally_codes(codes: np.ndarray) -> Counter:
-    values, counts = np.unique(codes, return_counts=True)
-    return Counter(dict(zip(values.tolist(), counts.tolist())))
+def _tally_codes(codes: np.ndarray, weight: int = 1, first: np.ndarray | None = None) -> Counter:
+    # Each code's count, times weight. The codes are sorted in place, and
+    # first, a bool array of their size, marks where each run starts:
+    # np.unique would copy them.
+    codes = codes.reshape(-1)
+    codes.sort()
+    first = np.empty(codes.size, bool) if first is None else first
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=codes.size) * weight
+    return Counter(dict(zip(codes[starts].tolist(), counts.tolist())))
 
 
 def _tally_table(tally: Counter, n: int) -> dict[KTuple, int]:
@@ -337,36 +362,52 @@ _SUFFIX_LEN = 7
 _PREFIX_BLOCK = _CHUNK_ROWS // math.factorial(_SUFFIX_LEN)
 
 
-def _tally_block(prefixes: list[tuple[int, ...]], suffixes: np.ndarray) -> Counter:
+def _tally_block(
+    prefixes: list[tuple[int, ...]], levels: list[np.ndarray], buffers: dict
+) -> Counter:
     """Tally every ordering that starts with one of ``prefixes``.
 
-    ``suffixes`` lists all arrangements of ``range(m)`` in lexicographic
-    order, where ``m`` ids are left after each prefix. The orderings of a
-    prefix follow it with its remaining ids, ascending, rearranged by each
-    row of ``suffixes`` in turn. Each prefix is walked once, and the
-    suffix draws are walked as a tree: the orderings that share their
-    first ``j + 1`` suffix draws share one node, so draw ``j`` is walked
-    ``m!/(m - j - 1)!`` times per prefix, not ``m!``. The last draw always
-    completes a pair and is not walked.
+    The orderings of a prefix follow it with its ``m`` remaining ids,
+    ascending, rearranged by each row of the lexicographic table of all
+    arrangements of ``range(m)`` in turn. Each prefix is walked once, and
+    its suffix draws as the tree that ``levels`` lays out (see
+    :func:`brute_force_counts`), each leaf counted twice. The walk writes
+    into ``buffers``, one flat array per role sized for the largest
+    level, which the caller keeps from block to block, and the last
+    level's codes are sorted where they lie.
     """
     head = np.array(prefixes, dtype=np.int8)
     rows, start = head.shape
-    m = suffixes.shape[1]
+    m = len(levels) + 1
+    dtype = _state_dtype((start + m) // 2)
     taken = np.zeros((rows, start + m), dtype=bool)
     taken[np.arange(rows)[:, None], head] = True
-    rest_types = (np.nonzero(~taken)[1].reshape(rows, m) >> 1).astype(np.int8).T
-    # The nodes of depth j are rows ::(m - j - 1)! of the table. Indexed
-    # newest draw first and prefix last, depth j's types have one more
-    # leading axis than depth j - 1's, so the walk broadcasts each node's
-    # state over its m - j children.
-    depths = (
-        rest_types[
-            suffixes[:: math.factorial(m - j - 1), j].reshape(range(m, m - j - 1, -1)).T
-        ]
-        for j in range(m - 1)
+    rest_types = np.nonzero(~taken)[1].reshape(rows, m).T >> 1
+    rest_bits = np.left_shift(1, rest_types, dtype=dtype)
+    room = levels[-1].size * rows
+
+    def buffer(key: object, shape: tuple, kind: type = dtype) -> np.ndarray:
+        flat = buffers.get(key)
+        if flat is None or flat.size < room:
+            flat = buffers[key] = np.empty(room, kind)
+        return flat[: math.prod(shape)].reshape(shape)
+
+    # Level j reads level j - 1's masks and codes, so the levels alternate
+    # between two sets. The prefix draws are a row each and allocate.
+    # The gathered bits become the masks in place. np.take buffers its
+    # out array unless the indices go unchecked; they are all in range.
+    shapes = [level.shape + (rows,) for level in levels]
+    suffix_bits = (
+        np.take(rest_bits, level, axis=0, out=buffer(("seen", j % 2), shape), mode="clip")
+        for j, (level, shape) in enumerate(zip(levels, shapes))
     )
-    draws = itertools.chain((head >> 1).T, depths)
-    return _tally_codes(_walk(draws, _state_dtype((start + m) // 2)))
+    suffix_codes = (buffer(("code", j % 2), shape) for j, shape in enumerate(shapes))
+    codes = _walk(
+        itertools.chain(np.left_shift(1, head.T >> 1, dtype=dtype), suffix_bits),
+        dtype,
+        itertools.chain(itertools.repeat(None, start), suffix_codes),
+    )
+    return _tally_codes(codes, 2, buffer("first", (codes.size,), bool))
 
 
 def brute_force_counts(
@@ -388,11 +429,14 @@ def brute_force_counts(
     Each prefix is walked once; its remaining ids are arranged through
     one lexicographic table of all ``7!`` suffix permutations, built once
     per call. The suffix draws are walked as a tree of shared suffix
-    prefixes, 8,659 steps per prefix where one walk per ordering takes
-    7 * 5,040 = 35,280, and the last draw, which always completes a
-    pair, is not walked. A chunk holds at most 498,960 orderings and
-    ``workers`` chunks run at once. The tally does not depend on
-    ``workers``.
+    prefixes. The last draw always completes a pair and is not walked,
+    and the second-to-last gives the same step in either order of the two
+    socks left, so it is walked once for both and each walked leaf counts
+    two orderings: 6,139 steps per prefix where one walk per ordering
+    takes 7 * 5,040 = 35,280. A chunk holds at most 498,960 orderings
+    and ``workers`` chunks run at once, each worker writing its walk into
+    one set of buffers that it keeps for the whole call. The tally does
+    not depend on ``workers``.
     """
     _require_positive_int("workers", workers)
     _check_cap(
@@ -406,10 +450,25 @@ def brute_force_counts(
 
     size = 2 * n
     m = min(_SUFFIX_LEN, size)
-    suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    # The suffix tree's nodes of depth d are rows ::(m - d - 1)! of the
+    # lexicographic table of suffix arrangements. Level j holds draw j of
+    # the nodes of depth min(j, m - 3): indexed newest draw first and
+    # prefix last, each level up to m - 3 has one more leading axis than
+    # the one before, so the walk broadcasts each node's state over its
+    # m - j children. The two socks left after draw m - 3 give one path
+    # in either order, so draw m - 2 is walked on the first of each
+    # node's two rows, at depth m - 3's shape.
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    levels = [
+        table[:: math.factorial(m - d - 1), j].reshape(range(m, m - d - 1, -1)).T
+        for j in range(m - 1)
+        for d in [min(j, m - 3)]
+    ]
     prefixes = itertools.permutations(range(size), size - m)
     blocks = iter(lambda: list(itertools.islice(prefixes, _PREFIX_BLOCK)), [])
-    tally = _run_chunks(lambda block: _tally_block(block, suffixes), blocks, workers)
+    # One set of walk buffers per worker thread, all gone with this call
+    local = threading.local()
+    tally = _run_chunks(lambda block: _tally_block(block, levels, vars(local)), blocks, workers)
     return _tally_table(tally, n)
 
 
@@ -456,6 +515,8 @@ class SimulationReport(NamedTuple):
     @property
     def max_abs_deviation(self) -> Fraction:
         """The largest :meth:`deviation` over the rows, as a Fraction."""
+        from fractions import Fraction
+
         worst = max(self.deviation(hit, count) for _, hit, count in self.rows())
         return Fraction(worst, self.trials * _orderings(self.n))
 

@@ -1,6 +1,7 @@
-"""Shared hypothesis strategies for sock-sorting objects, a peak-RSS probe,
-a record check, and two references that share no code with sockpath: the
-table-count chain, for every row, and a walk of every ordering."""
+"""Shared hypothesis strategies for sock-sorting objects, a peak-RSS and
+page-fault probe, a record check, and two references that share no code
+with sockpath: the table-count chain, for every row, and a walk of every
+ordering."""
 
 import copy
 import functools
@@ -18,19 +19,20 @@ from sockpath import DyckPath, KTuple, Sock, catalan
 
 # A child's ru_maxrss starts at the peak RSS of the process that started
 # it, so a small launcher, not the test process, reaps the child with
-# os.wait4 and prints its peak in kilobytes.
+# os.wait4 and prints its peak in kilobytes and its minor page faults.
 _LAUNCHER = (
     "import os, subprocess, sys\n"
     "proc = subprocess.Popen([sys.executable, '-c', *sys.argv[1:]],\n"
     "    stdout=subprocess.DEVNULL)\n"
     "_, status, usage = os.wait4(proc.pid, 0)\n"
     "assert os.waitstatus_to_exitcode(status) == 0\n"
-    "print(usage.ru_maxrss)\n"
+    "print(usage.ru_maxrss, usage.ru_minflt)\n"
 )
 
 
-def peak_rss_kb(code: str, *argv: str) -> int:
-    """Peak RSS in kilobytes of a fresh ``python -c code *argv`` on ``src/``.
+def reap(code: str, *argv: str) -> tuple[int, int]:
+    """Peak RSS in kilobytes and minor page faults of a fresh
+    ``python -c code *argv`` on ``src/``.
 
     The caller's ``PYTHON*`` and ``SOCKPATH_*`` settings are dropped, so
     that bytecode is cached and one worker runs, as for a user's shell.
@@ -43,7 +45,13 @@ def peak_rss_kb(code: str, *argv: str) -> int:
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    peak, faults = proc.stdout.split()
+    return int(peak), int(faults)
+
+
+def peak_rss_kb(code: str, *argv: str) -> int:
+    """Peak RSS in kilobytes of a fresh ``python -c code *argv``: :func:`reap`'s first figure."""
+    return reap(code, *argv)[0]
 
 
 def assert_record(record, text: str, **fields) -> None:

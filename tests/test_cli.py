@@ -854,6 +854,20 @@ class TestLazyNumpy:
             assert "concurrent.futures" not in new, argv
             assert "logging" not in new, argv
 
+    def test_only_fraction_commands_load_fractions(self):
+        # Fractions are built by prob and stats alone; fractions loads
+        # decimal, which no command needs.
+        new = self.new_modules(
+            ["table", "3"], ["path", "2,1"], ["ktuple", "1,2,1,0"], ["verify", "1"],
+            ["simulate", "1", "--trials", "1"],
+        )
+        assert "sockpath.process" in new
+        for module in ("fractions", "decimal"):
+            assert module not in new, module
+        for argv in (["prob", "2,1"], ["stats", "3", "--k", "2"], ["stats", "3", "--what", "max"]):
+            new = self.new_modules(argv)
+            assert {"fractions", "decimal"} <= new, argv
+
     def test_star_import_and_attribute_access_load_process(self):
         namespace: dict = {}
         exec("from sockpath import *", namespace)

@@ -37,7 +37,7 @@ from sockpath import (
 from sockpath import process
 from sockpath.process import _decode_codes, _path_codes, _run_chunks, _tally_codes
 
-from conftest import assert_record, oracle_statistics, peak_rss_kb, sock_orders
+from conftest import assert_record, oracle_statistics, peak_rss_kb, reap, sock_orders
 
 
 class TestRunProcess:
@@ -362,6 +362,49 @@ class TestBruteForce:
         # one n = 7 block walks 498,960 orderings of 14 draws on int16
         # state: about 5.0 MB, where int32 state peaks at 9.5 MB
         assert first_block_peak(monkeypatch, 7) < 6_000_000
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_walk_buffers_go_with_the_call(self, workers):
+        # n = 5 is 8 blocks on int16 state. Each worker keeps one set of
+        # walk buffers, some 2 MB, from block to block, and no array of
+        # the walk outlives the call.
+        whole = brute_force_counts(5, workers=workers)
+        tracemalloc.start()
+        try:
+            counts = brute_force_counts(5, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert list(counts.items()) == list(whole.items())
+        assert peak > 2_000_000
+        assert sum(trace.size for trace in arrays.traces) < 10_000
+
+    def test_later_blocks_reuse_the_walk_buffers(self, monkeypatch):
+        # the first block of n = 6 sizes the buffers; the second writes
+        # into them, so its peak is a small part of the first's
+        tally, chunks = brute_force_chunks(monkeypatch, 6, cap=6)
+        peaks = []
+        for block in itertools.islice(chunks, 2):
+            tracemalloc.start()
+            try:
+                tally(block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 2_000_000
+        assert peaks[1] < peaks[0] // 8, peaks
+
+    def test_walk_faults_few_pages(self):
+        # verify 5 walks 8 blocks of 99 prefixes. Walk temporaries made
+        # afresh per block faulted in about 11,000 more pages than
+        # verify 1 does; buffers kept for the call fault some 800 more.
+        run = "from sockpath.cli import run; run()"
+        _, five = reap(run, "verify", "5")
+        _, one = reap(run, "verify", "1")
+        assert five - one < 3_000, f"verify 5: {five} minor faults, verify 1: {one}"
 
     def test_cap_suggests_monte_carlo(self):
         with pytest.raises(ResourceLimitError) as exc:
