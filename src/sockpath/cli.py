@@ -11,12 +11,16 @@ consumer that closes the pipe early stops the command. The engine
 yields integers only; every row's text is rendered here. :func:`_blocks`
 brings each tuple prefix the odometer steps with its block of tails,
 the text of each prefix and of each tail in its table rendered once per
-call. In walk order, one generator expression over the blocks joins
-each row from those texts and the cells of its ordering count, rendered
-once per distinct count, and ``writelines`` writes the rows one by one.
-These lines, and those of ``stats``'s CSV, are byte for byte what
-``csv.writer`` and ``json.dumps(indent=2)`` would write; ``stats``
-writes its JSON, at most ``n + 1`` rows, with one ``json.dump``.
+call. In walk order, ``table`` joins each row from those texts and the
+cells of its ordering count, rendered once per distinct count, in one
+generator expression over the blocks, and ``writelines`` writes the rows
+one by one. ``simulate`` writes each block's rows as one string. It
+never decodes its sample: a row's path code is joined from its prefix's
+part and its tail's, and the sorted codes hit are looked up only in the
+blocks whose range holds some of them. These lines, and those of
+``stats``'s CSV, are byte for byte what ``csv.writer`` and
+``json.dumps(indent=2)`` would write; ``stats`` writes its JSON, at
+most ``n + 1`` rows, with one ``json.dump``.
 
 Exit codes are stable across subcommands: 0 success, 1 failed
 verification, 2 usage or parse error, 3 resource cap exceeded, 4 domain
@@ -26,6 +30,7 @@ validity error, 141 (128 + SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import bisect
 import collections
 import gc
 import math
@@ -172,43 +177,60 @@ _JSON_SIMULATE_CELLS = (
 )
 
 
-def _blocks(n: int, fmt: str, path: bool = False) -> Iterator[tuple[tuple, list]]:
+# The path slots of _blocks that stay empty, as in table's CSV
+_NO_PATH = ("", lambda s, prev, v: "", lambda a, v: "")
+
+
+def _blocks(n: int, fmt: str, slots: tuple = _NO_PATH) -> Iterator[tuple[tuple, list]]:
     """Every prefix block of order ``n`` as ``(head, tails)``, lexicographically.
 
     The walk of :func:`~sockpath.core._walk` keeps, per odometer prefix,
-    the head ``(pre, 2^n * n! * prod(pre), text, path text)`` and, per
-    tail ``a`` in its table, ``(a, prod(a), text, path text)``: a row's
+    the head ``(pre, 2^n * n! * prod(pre), text, slot)`` and, per
+    tail ``a`` in its table, ``(a, prod(a), text, slot)``: a row's
     tuple is ``pre + a``, its ordering count the product of the two
     and its tuple text the two texts joined. In CSV that text is the
     cell ``(k_1,...,k_n)``, quoted as csv.writer quotes a cell with a
     comma, from ``n = 2`` on; in JSON it is the row object up to the
-    tuple's elements. With ``path``, the path texts joined are the JSON
-    elements of the row's path, through the prefix's last down-step and
-    then the tail's own heights, and ``_JSON_ROW_CLOSE``; otherwise both
-    are empty.
+    tuple's elements. ``slots``, ``(start, entry, tail)``, fills the
+    path slots: ``start`` is the empty prefix's, ``entry(slot, prev,
+    v)`` a prefix's once ``v`` follows the prefix of slot ``slot``,
+    which ends in ``prev`` (1 if empty), and ``tail(a, v)`` tail ``a``'s
+    after a prefix ending in ``v``. :func:`_json_path`'s slots hold the
+    text of the row's path, :func:`~sockpath.process._code_slots`'s its
+    path code; without ``slots`` they are empty.
     """
     if fmt == "json":
         before, sep, after = _JSON_ROW_OPEN, _JSON_ITEM, ""
     else:
         quote = '"' if n > 1 else ""
         before, sep, after = quote + "(", ",", ")" + quote
-    # heights lie in 0..n, entries in 1..n
+    # entries lie in 1..n
     items = [f"{v}{sep}" for v in range(n + 1)]
-
-    # the path text of entry v after prev, rendered once per pair
-    climbs = _Cells(
-        lambda pv: "".join([items[h] for h in _climb((pv[1],), pv[0])]) if path else ""
-    )
+    path, climb, path_tail = slots
 
     def entry(s: tuple, prev: int, v: int) -> tuple:
-        return (*s[0], v), s[1] * v, s[2] + items[v], s[3] + climbs[prev, v]
+        return (*s[0], v), s[1] * v, s[2] + items[v], climb(s[3], prev, v)
 
     def tail(a: tuple, v: int) -> tuple:
-        climb = sep.join(map(str, _climb(a, v))) + _JSON_ROW_CLOSE if path else ""
-        return a, math.prod(a), sep.join(map(str, a)) + after, climb
+        return a, math.prod(a), sep.join(map(str, a)) + after, path_tail(a, v)
 
-    start = ((), (1 << n) * math.factorial(n), before, "")
+    start = ((), (1 << n) * math.factorial(n), before, path)
     return _walk(n, start, entry, tail)
+
+
+def _json_path() -> tuple[str, Callable, Callable]:
+    """The path slots of :func:`_blocks` whose texts are the JSON elements of a row's path.
+
+    A prefix's text runs through its last down-step; a tail's holds its
+    own heights, then ``_JSON_ROW_CLOSE``.
+    """
+    # the text of entry v after prev, rendered once per pair
+    climbs = _Cells(lambda pv: "".join([f"{h}{_JSON_ITEM}" for h in _climb((pv[1],), pv[0])]))
+    return (
+        "",
+        lambda s, prev, v: s + climbs[prev, v],
+        lambda a, v: _JSON_ITEM.join(map(str, _climb(a, v))) + _JSON_ROW_CLOSE,
+    )
 
 
 class _Cells(dict):
@@ -226,9 +248,10 @@ class _Cells(dict):
 def _stream_json(head: dict, rows: Iterable[str], tail: Callable[[], dict]) -> None:
     """Write ``head``, ``rows`` and ``tail()`` as json.dumps(indent=2) would.
 
-    ``rows`` are the rendered elements of the ``"rows"`` list, each led
-    by the ``",\\n"`` that separates it from the one before, which is
-    dropped from the first; each is written as soon as it is produced.
+    ``rows`` are the rendered elements of the ``"rows"`` list, or runs of
+    them, each led by the ``",\\n"`` that separates it from the one
+    before, which is dropped from the first; each is written as soon as
+    it is produced.
     ``tail`` is called after the last one, so its fields, which follow
     the list, may report on them. Neither may be empty.
     """
@@ -321,11 +344,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     lead = ",\n" if is_json else ""  # what comes before a row
     template = _JSON_TABLE_CELLS if is_json else ",%s,%s,%s\n"
     cells = _Cells(lambda c: template % (_ratio(c, den), _decimal(c, den, precision), c))
+    blocks = _blocks(n, args.format, _json_path() if is_json else _NO_PATH)
     if args.sort == "prob":
         classes: dict[int, list] = collections.defaultdict(list)
         # the walk yields the same few block lists over and over
         runs_of: dict[int, list] = {}
-        for h, block in _blocks(n, args.format, path=is_json):
+        for h, block in blocks:
             runs = runs_of.get(id(block))
             if runs is None:
                 by_count = collections.defaultdict(list)
@@ -361,7 +385,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # CSV the lead and the path texts are empty.
         lines = (
             f"{lead}{pre}{text}{cells[hc * c]}{climb}{rest}"
-            for (_, hc, pre, climb), block in _blocks(n, args.format, path=is_json)
+            for (_, hc, pre, climb), block in blocks
             for _, c, text, rest in block
         )
     if is_json:
@@ -422,29 +446,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    """Write each tuple's sampled count beside its exact law, in one pass over the blocks.
+    """Write each tuple's sampled count beside its exact law, a block of rows at a time.
 
-    The rows are rendered from the :func:`~sockpath.process.monte_carlo`
-    report, which holds only the tuples hit: :func:`_blocks` supplies
-    every row, hit or not, with its tuple, its ordering count and its
-    tuple text, as for ``table``, and each row looks up its hits by the
-    tuple its head and tail join to. The report's ``deviation`` gives
-    each row's ``|hits/trials - count/(2n)!|`` as one integer over
+    The sample is the tally of path codes from
+    :func:`~sockpath.process._sample_codes`, never decoded:
+    :func:`_blocks` supplies every row, hit or not, with its tuple text
+    and its ordering count, as for ``table``, and, through
+    :func:`~sockpath.process._code_slots`, with its path code. The codes
+    of a prefix's rows fill one range, and the sorted codes hit and the
+    prefixes ascend together: a pointer into the codes shows which blocks
+    have hits. A block without them renders its rows from cells keyed by
+    their count alone, and a block with them looks each row's code up.
+    Each block is written as one string. ``deviation`` gives each row's
+    ``|hits/trials - count/(2n)!|`` as one integer over
     ``trials * (2n)!``. A row's cells depend on its ``(hits, count)``
     pair alone, so they are rendered once per distinct pair (4,538 of
     208,012 rows at ``simulate 12 --trials 200000``). The largest
-    deviation, written after the rows, is the report's over those pairs.
+    deviation, written after the rows, is the one over those pairs, as
+    the :func:`~sockpath.process.monte_carlo` report's is over its rows.
     """
     # numpy loads only for sampling commands
-    from .process import _MAX_PATH_N, monte_carlo
+    from .process import _MAX_PATH_N, _code_slots, _sample_codes
 
     n, trials, seed, precision = args.n, args.trials, args.seed, args.precision
-    report = monte_carlo(
+    hits = _sample_codes(
         n, trials, seed, workers=_resolve_workers(), cap=_cap_override(args, _MAX_PATH_N)
     )
-    hits, deviation = report.hits, report.deviation
     den = math.factorial(2 * n)
     scale = trials * den
+
+    def deviation(hit: int, count: int) -> int:
+        # |hit/trials - count/(2n)!| over trials * (2n)!, as the report's
+        return abs(hit * den - count * trials)
+
     # The cells after a row's tuple, from its hits and its ordering count:
     # the hits, then the frequency, the exact law and the deviation. JSON
     # gives each of the three as p/q and as a decimal; CSV gives the
@@ -475,12 +509,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return f",{hit},{ratios[hit, trials]},{ratios[count, den]},{dev}\n"
 
     rendered = _Cells(lambda key: cells(*key))
+    missed = _Cells(lambda count: rendered[0, count])
     lead = ",\n" if args.format == "json" else ""  # what comes before a row
-    lines = (
-        f"{lead}{head}{text}{rendered[hits.get(pre + a, 0), hc * c]}"
-        for (pre, hc, head, _), block in _blocks(n, args.format)
-        for a, c, text, _ in block
-    )
+
+    def lines() -> Iterator[str]:
+        # A block's rows in one string, each the head's text and its own.
+        # codes[i] is the first code hit past the blocks already written.
+        codes, get, i = sorted(hits), hits.get, 0
+        for (_, hc, head, (base, room)), block in _blocks(n, args.format, _code_slots(n)):
+            joint, top = lead + head, base + (1 << room)
+            if i < len(codes) and codes[i] < top:
+                i = bisect.bisect_left(codes, top, i)
+                suffixes = [text + rendered[get(base | code, 0), hc * c]
+                            for _, c, text, code in block]
+            else:
+                suffixes = [text + missed[hc * c] for _, c, text, _ in block]
+            yield joint + joint.join(suffixes)
 
     def largest() -> int:  # called once, after the rows are written
         return max(deviation(*key) for key in rendered)
@@ -488,7 +532,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _stream_json(
             {"n": n, "generator": "simulation"},
-            lines,
+            lines(),
             lambda: {
                 "metadata": {
                     "seed": seed,
@@ -502,7 +546,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         out = sys.stdout
         out.write("tuple,count,frequency,probability,abs_deviation\n")
-        out.writelines(lines)
+        out.writelines(lines())
         out.write(f"max_abs_deviation,,,,{_decimal(largest(), scale, precision)}\n")
     return EXIT_OK
 

@@ -32,7 +32,9 @@ Two verification engines live here:
   ``Philox(key=seed)`` jumped ``i`` times, so reports are bit-identical
   for any worker count. A chunk is shuffled and walked a tile of at most
   ``_TILE_ITEMS`` sock ids at a time, each tile continuing the chunk's
-  stream, and a tally is decoded a tile at a time too.
+  stream, and a tally is decoded a tile at a time too. The CLI's
+  ``simulate`` takes the tally of :func:`_sample_codes` undecoded and
+  joins each row's code from its table block (:func:`_code_slots`).
 
 Both engines build each chunk inside the worker that tallies it, and
 chunks run in rounds of at most ``workers``, so no more than ``workers``
@@ -67,6 +69,7 @@ from .core import (
     DyckPath,
     KTuple,
     _check_cap,
+    _climb,
     _entries,
     _require_positive_int,
 )
@@ -301,6 +304,47 @@ def _decode_codes(codes: list[int] | np.ndarray, n: int) -> list[KTuple]:
         ks = (after + 1)[up == 0].reshape(-1, n)
         tuples.extend(map(KTuple._trusted, ks.tolist()))
     return tuples
+
+
+def _code_slots(n: int) -> tuple[tuple[int, int], Callable, Callable]:
+    """The path slots of the CLI's table blocks that build each row's path code.
+
+    ``(start, entry, tail)`` as ``cli._blocks`` takes them. A prefix's
+    slot is ``(base, room)``: the code bits of its steps, from the
+    highest down, with the ``room`` bits below them clear. Those steps
+    end with its last entry's down-step, so ``room`` depends only on that
+    entry and the prefix's length. A tail's slot is the code bits of its
+    steps but the last, a down-step the code leaves out, after a prefix
+    ending in ``v`` (1 if none): exactly ``room`` bits. A row's code is
+    its prefix's ``base | tail bits``, and the codes of a prefix's rows
+    are those in ``[base, base + 2**room)``. Both slots come from the
+    heights of :func:`~sockpath.core._climb`, as :func:`_path_codes`
+    lays them out: an up-step sets its bit, the first draw's the highest.
+    """
+
+    def bits(heights: tuple, height: int) -> int:
+        # an up-step where the height rises above the one before
+        code = 0
+        for h in heights:
+            code = code << 1 | (h > height)
+            height = h
+        return code
+
+    @functools.cache
+    def steps(prev: int, v: int) -> tuple[int, int]:
+        # the bits of entry v after prev, and their count
+        heights = _climb((v,), prev)
+        return bits(heights, prev - 1), len(heights)
+
+    def entry(slot: tuple[int, int], prev: int, v: int) -> tuple[int, int]:
+        code, size = steps(prev, v)
+        room = slot[1] - size
+        return slot[0] | code << room, room
+
+    def tail(a: tuple, v: int) -> int:
+        return bits(_climb(a, v)[:-1], v - 1)
+
+    return (0, 2 * n - 1), entry, tail
 
 
 def _tally_codes(codes: np.ndarray, weight: int = 1, first: np.ndarray | None = None) -> Counter:
@@ -545,6 +589,18 @@ def monte_carlo(
     the rows, which the cap bounds. Whatever the cap, ``n`` above 31 raises
     :class:`ResourceLimitError`, since a run's path code must fit 64 bits.
     """
+    tally = _sample_codes(n, trials, seed, workers=workers, cap=cap)
+    return SimulationReport(n, trials, seed, _tally_table(tally, n))
+
+
+def _sample_codes(
+    n: int, trials: int, seed: int, *, workers: int = 1, cap: int | None = None
+) -> Counter:
+    """:func:`monte_carlo`'s sample, undecoded: each path code hit, with its trial count.
+
+    The CLI's ``simulate`` renders its rows from these codes, through
+    :func:`_code_slots`, and never decodes them.
+    """
     _require_positive_int("trials", trials)
     _require_positive_int("workers", workers)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
@@ -572,5 +628,4 @@ def monte_carlo(
             codes[start:start + size] = _path_codes(tile)
         return _tally_codes(codes)
 
-    tally = _run_chunks(tally_chunk, range(-(-trials // _CHUNK_ROWS)), workers)
-    return SimulationReport(n, trials, seed, _tally_table(tally, n))
+    return _run_chunks(tally_chunk, range(-(-trials // _CHUNK_ROWS)), workers)

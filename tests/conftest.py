@@ -1,7 +1,7 @@
 """Shared hypothesis strategies for sock-sorting objects, a peak-RSS and
-page-fault probe, a record check, and two references that share no code
-with sockpath: the table-count chain, for every row, and a walk of every
-ordering."""
+page-fault probe, a record check, one draw order realizing a path, and
+two references that share no code with sockpath: the table-count chain,
+for every row, and a walk of every ordering."""
 
 import copy
 import functools
@@ -67,6 +67,22 @@ def assert_record(record, text: str, **fields) -> None:
         else:
             raise AssertionError(f"{name} of {type(record).__name__} was assigned")
         assert getattr(record, name) == value
+
+
+def realizing_ids(path) -> list[int]:
+    """Sock ids (``2 * type + side``, types from 0) of one draw order whose
+    heights are ``path``: an up-step opens a new type, a down-step
+    completes the type opened last."""
+    ids, opened, types, height = [], [], 0, 0
+    for h in path:
+        if h > height:
+            opened.append(types)
+            ids.append(2 * types)
+            types += 1
+        else:
+            ids.append(2 * opened.pop() + 1)
+        height = h
+    return ids
 
 
 def chain_rows(n: int):

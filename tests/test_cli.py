@@ -11,10 +11,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +30,14 @@ from sockpath.cli import (
     _JSON_ROW_OPEN,
     _JSON_SIMULATE_CELLS,
     _JSON_TABLE_CELLS,
+    _blocks,
     _resolve_workers,
     _stream_json,
     format_decimal,
     main,
 )
 
-from conftest import chain_table, peak_rss_kb
+from conftest import chain_table, peak_rss_kb, realizing_ids
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -525,16 +528,17 @@ class TestSimulate:
                 assert metadata["max_abs_deviation"] == str(report.max_abs_deviation)
 
         def reporting(tally):
-            # monte_carlo as simulate calls it, reporting the given tally
-            return lambda n, trials, seed, **kwargs: process.SimulationReport(
-                n, trials, seed, tally
-            )
+            # the sampler as simulate calls it, returning the given tally
+            # as the path code of each tuple, from an ordering realizing it
+            ids = np.array([realizing_ids(sockpath.path_of_ktuple(t)) for t in tally], np.int8)
+            codes = Counter(dict(zip(process._path_codes(ids).tolist(), tally.values())))
+            return lambda n, trials, seed, **kwargs: codes
 
         # A tally whose largest deviation is on the row no trial hit:
         # (3,2,1), of probability 2/5; the others deviate by 2/15 or 0.
         tally = {KTuple((1, 1, 1)): 3, KTuple((2, 1, 1)): 4,
                  KTuple((1, 2, 1)): 4, KTuple((2, 2, 1)): 4}
-        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
+        monkeypatch.setattr(process, "_sample_codes", reporting(tally))
         code, out, _ = cli("simulate", "3", "--trials", "15", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
@@ -542,7 +546,7 @@ class TestSimulate:
         # missed count sets the maximum, not the first. Hit rows deviate
         # by 4/45, 1/5 and 8/45.
         tally = {KTuple((1, 2, 1)): 2, KTuple((2, 1, 1)): 3, KTuple((2, 2, 1)): 4}
-        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
+        monkeypatch.setattr(process, "_sample_codes", reporting(tally))
         code, out, _ = cli("simulate", "3", "--trials", "9", "--format", "json")
         assert code == 0
         assert json.loads(out)["metadata"]["max_abs_deviation"] == "2/5"
@@ -556,7 +560,7 @@ class TestSimulate:
                  KTuple((2, 3, 2, 1)): 12, KTuple((3, 2, 1, 1)): 6,
                  KTuple((3, 2, 2, 1)): 12, KTuple((3, 3, 2, 1)): 16,
                  KTuple((4, 3, 2, 1)): 18}
-        monkeypatch.setattr(process, "monte_carlo", reporting(tally))
+        monkeypatch.setattr(process, "_sample_codes", reporting(tally))
         code, out, _ = cli("simulate", "4", "--trials", "105", "--format", "json")
         assert code == 0
         payload = json.loads(out)
@@ -566,6 +570,25 @@ class TestSimulate:
             assert row["count"] == tally.get(t, 0), t
             prob = sockpath.tuple_probability(t)
             assert Fraction(row["abs_deviation"]) == abs(Fraction(row["count"], 105) - prob)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_come_from_the_codes_undecoded(self, cli, monkeypatch, fmt):
+        # simulate writes its rows from the sampler's path codes, and
+        # nothing decodes them. At n = 9, 200 trials hit some prefix
+        # blocks and miss others, and both kinds render as the oracle's.
+        codes = sorted(process._sample_codes(9, 200, 5))
+        hit = [any(base <= c < base + (1 << room) for c in codes)
+               for (_, _, _, (base, room)), _ in _blocks(9, "csv", process._code_slots(9))]
+        assert any(hit) and not all(hit)
+        expected = simulate_oracle(9, 200, 5, fmt, 6)
+
+        def refuse(*args):
+            raise AssertionError("simulate decoded its sample")
+
+        monkeypatch.setattr(process, "_decode_codes", refuse)
+        code, out, _ = cli("simulate", "9", "--trials", "200", "--seed", "5", "--format", fmt)
+        assert code == 0
+        assert out == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n,trials,all_hit", [(9, 200, False), (4, 100_000, True)])

@@ -31,7 +31,7 @@ from sockpath import (
     validate_ktuple,
 )
 from sockpath import core
-from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _blocks
+from sockpath.cli import _JSON_ITEM, _JSON_ROW_CLOSE, _JSON_ROW_OPEN, _blocks, _json_path
 from sockpath.probability import _count_rows
 
 from conftest import (
@@ -379,7 +379,7 @@ class TestTailSeam:
                 assert got == (*row, quote + text + quote, "")
             json_rows = (
                 (h[0] + t[0], h[1] * t[1], h[2] + t[2], h[3] + t[3])
-                for h, block in _blocks(n, "json", path=True)
+                for h, block in _blocks(n, "json", _json_path())
                 for t in block
             )
             for got, row, text, path in zip(json_rows, rows, texts, paths, strict=True):

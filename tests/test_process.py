@@ -35,9 +35,18 @@ from sockpath import (
     tuple_probability,
 )
 from sockpath import process
-from sockpath.process import _decode_codes, _path_codes, _run_chunks, _tally_codes
+from sockpath.cli import _blocks
+from sockpath.process import _code_slots, _decode_codes, _path_codes, _run_chunks, _tally_codes
 
-from conftest import assert_record, oracle_statistics, peak_rss_kb, reap, sock_orders
+from conftest import (
+    assert_record,
+    chain_rows,
+    oracle_statistics,
+    peak_rss_kb,
+    reap,
+    realizing_ids,
+    sock_orders,
+)
 
 
 class TestRunProcess:
@@ -153,6 +162,29 @@ class TestRunProcess:
         for row, t in zip(ids.tolist(), decoded):
             draws = [(i // 2 + 1, i % 2) for i in row]
             assert t == run_process(draws).tuple
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_table_blocks_build_each_rows_path_code(self, n):
+        # The code _code_slots gives each row of the CLI's table blocks is
+        # _path_codes's of an ordering that realizes the row, and decodes
+        # to the row's tuple: the CLI builds codes from the blocks and the
+        # sampler from orderings, so a change to the layout of either
+        # alone fails here. Up to n = 6 the only prefix is the empty one.
+        rows, ranges = [], []
+        for (pre, _, _, (base, room)), block in _blocks(n, "csv", _code_slots(n)):
+            ranges.append((base, base + (1 << room)))
+            for a, _, _, code in block:
+                assert 0 <= code < 1 << room
+                rows.append((pre + a, base | code))
+        assert len(ranges) == 1 if n <= 6 else len(ranges) > 1
+        # each prefix's codes fill a range of their own, in walk order
+        assert all(top <= base for (_, top), (base, _) in zip(ranges, ranges[1:]))
+        chain = list(chain_rows(n))
+        assert [t for t, _ in rows] == [t for t, _, _ in chain]
+        ids = np.array([realizing_ids(path) for _, _, path in chain], dtype=np.int8)
+        codes = [code for _, code in rows]
+        assert codes == _path_codes(ids).tolist()
+        assert _decode_codes(codes, n) == [t for t, _ in rows]
 
     @given(sock_orders(max_n=4))
     def test_first_appearance_relabeling(self, draws):
