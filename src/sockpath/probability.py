@@ -259,7 +259,9 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
     _check_cap(
         n, cap, "marginal law", default=_MARGINAL_CAP, cost="O(n) binomial sum"
     )
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 2 * n:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise MalformedInputError(f"draw index k must be an integer, got {k!r}")
+    if not 1 <= k <= 2 * n:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
         )

@@ -631,6 +631,19 @@ class TestCapOverrideWarning:
         assert err.startswith(self.WARNING)
 
 
+def undo_what_run_arms(monkeypatch) -> None:
+    """Have ``monkeypatch`` undo what run() arms in this process: the
+    OpenSSL guard's flag, and ``_hashlib``'s entry in sys.modules,
+    present or not."""
+    monkeypatch.setattr(sockpath.cli, "_shed_openssl", sockpath.cli._shed_openssl)
+    if "_hashlib" in sys.modules:
+        monkeypatch.setitem(sys.modules, "_hashlib", sys.modules["_hashlib"])
+    else:
+        # set first, so that undoing the deletion also undoes what run() sets
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        monkeypatch.delitem(sys.modules, "_hashlib")
+
+
 class TestOpenBlasThreads:
     NAME = "OPENBLAS_NUM_THREADS"
 
@@ -642,6 +655,7 @@ class TestOpenBlasThreads:
         monkeypatch.delenv(self.NAME)
 
     def _run_sees(self, monkeypatch) -> str | None:
+        undo_what_run_arms(monkeypatch)
         seen = []
         monkeypatch.setattr(sys, "argv", ["sockpath", "prob", "1"])
         monkeypatch.setattr(
@@ -670,6 +684,17 @@ class TestOpenBlasThreads:
         for argv in (("verify", "2"), ("simulate", "2", "--trials", "10"), ("table", "2")):
             assert cli(*argv)[0] == 0
         assert dict(os.environ) == before
+
+    def test_main_leaves_sys_modules_alone(self, cli, monkeypatch):
+        argvs = (("verify", "2"), ("simulate", "2", "--trials", "10"), ("table", "2"))
+        for argv in argvs:  # the commands' own imports are done first
+            assert cli(*argv)[0] == 0
+        # run() alone hides _hashlib, and only while it is not loaded yet
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        for argv in argvs:
+            assert cli(*argv)[0] == 0
+        assert "_hashlib" not in sys.modules
+        assert sockpath.cli._shed_openssl is False
 
     @pytest.mark.parametrize(
         "argv", [("verify", "5"), ("simulate", "5", "--trials", "100000", "--seed", "7")]
@@ -850,14 +875,23 @@ class TestLazyNumpy:
         return set(proc.stdout.split())
 
     def test_exact_commands_do_not_import_numpy(self):
-        # nor the record, serializer and thread-pool modules they never use
+        # nor the record, serializer, thread-pool and digest modules they
+        # never use
         new = self.new_modules(
             ["prob", "2,1"], ["path", "2,1"], ["ktuple", "1,2,1,0"],
             ["table", "3"], ["stats", "3", "--k", "2"], ["stats", "3", "--what", "max"],
         )
         assert "sockpath.probability" in new
-        for module in ("numpy", "dataclasses", "inspect", "json", "concurrent.futures"):
+        for module in ("numpy", "dataclasses", "inspect", "json", "concurrent.futures",
+                       "hashlib", "secrets"):
             assert module not in new, module
+
+    def test_verify_loads_no_numpy_random(self):
+        # brute force draws nothing: a top-level import of numpy.random in
+        # process.py would add its 6 MB to every verify
+        new = self.new_modules(["verify", "5"])
+        assert "numpy" in new
+        assert "numpy.random" not in new
 
     def test_json_commands_load_json_but_not_dataclasses(self):
         for argv in (["table", "3", "--format", "json"],
@@ -941,6 +975,14 @@ class TestBoundedMemory:
         small = self._peak_rss_kb("simulate", "2", "--trials", "500000")
         large = self._peak_rss_kb("simulate", "2", "--trials", "4000000")
         assert large - small < 8 * 1024, f"peak RSS {small} KB -> {large} KB"
+
+    def test_simulate_peaks_near_verify(self):
+        # Both load numpy; simulate also loads numpy.random, whose import
+        # chain (secrets, hmac, hashlib) maps OpenSSL unless run() keeps
+        # _hashlib out: 6.0 MB above verify 1 with it, 2.6 MB without.
+        floor = self._peak_rss_kb("verify", "1")
+        top = self._peak_rss_kb("simulate", "1", "--trials", "1")
+        assert top - floor <= 4 * 1024, f"peak RSS {floor} KB (verify) -> {top} KB (simulate)"
 
     def test_simulate_holds_a_tile_not_a_chunk(self):
         # 500,000-row chunks are shuffled and walked a tile at a time
@@ -1146,6 +1188,7 @@ class TestRunExit:
             return main()
 
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        undo_what_run_arms(monkeypatch)
         monkeypatch.setattr(sys, "stdout", Stdout())
         monkeypatch.setattr(sockpath.cli, "main", spy_main)
         monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
@@ -1205,6 +1248,51 @@ class TestRunExit:
         err = proc.stderr.decode()
         assert err == cli(*argv)[2]
         assert err.startswith("sockpath: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+class TestOpenSslKeptOut:
+    """run() keeps OpenSSL's libcrypto out of the commands that load numpy,
+    and changes no output doing so."""
+
+    # At exit, stderr gets whether _hashlib is loaded and whether the
+    # process maps libcrypto.
+    PROBE = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sys.modules.get('_hashlib') is not None,\n"
+        "    'libcrypto' in open('/proc/self/maps').read(), file=sys.stderr))\n"
+    )
+    RUN = "from sockpath.cli import run; run()"
+    SAMPLE = ("simulate", "3", "--trials", "1000", "--seed", "7")
+
+    @pytest.mark.parametrize(
+        "argv", [SAMPLE, (*SAMPLE, "--format", "json"), ("verify", "3")],
+        ids=["csv", "json", "verify"],
+    )
+    def test_sampling_maps_no_libcrypto(self, cli, argv):
+        proc = launch(*argv, code=self.PROBE + self.RUN)
+        assert proc.returncode == 0
+        assert proc.stderr == b"False False\n"
+        assert proc.stdout.decode() == cli(*argv)[1]
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            "import _hashlib\n",
+            # a build that leaves md5 to OpenSSL
+            "import importlib.util\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, *rest: (\n"
+            "    None if name == '_md5' else find_spec(name, *rest))\n",
+        ],
+        ids=["preloaded", "digest-missing"],
+    )
+    def test_openssl_stays_where_it_must(self, cli, setup):
+        proc = launch(*self.SAMPLE, code=setup + self.PROBE + self.RUN)
+        assert proc.returncode == 0
+        # _hashlib is loaded; the probe's line is all of stderr
+        assert re.fullmatch(rb"True (True|False)\n", proc.stderr), proc.stderr
+        assert proc.stdout.decode() == cli(*self.SAMPLE)[1]
 
 
 class TestBrokenPipe:

@@ -443,6 +443,13 @@ class TestMarginals:
         with pytest.raises(MalformedInputError):
             marginal_xk(2, 5)
 
+    @pytest.mark.parametrize("k", [2.0, True, "2", None])
+    def test_k_not_an_integer(self, k):
+        # reported as n is, not as out of range: 2.0 lies in 1..6
+        with pytest.raises(MalformedInputError) as exc:
+            marginal_xk(3, k)
+        assert str(exc.value) == f"draw index k must be an integer, got {k!r}"
+
     def test_cap(self):
         # the closed form has its own cap, far past the enumeration cap
         assert marginal_xk(15, 1).law == {1: Fraction(1)}
