@@ -36,7 +36,7 @@ import gc
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DyckPath,
@@ -53,10 +53,7 @@ from .errors import (
     SockPathError,
     ValidityError,
 )
-from .probability import _count_rows, marginal_xk, max_distribution, tuple_probability
-
-if TYPE_CHECKING:  # only prob and stats, which build Fractions, load fractions
-    from fractions import Fraction
+from .probability import _count_rows, _max_law, _moments, _tuple_odds, _xk_law
 
 __all__ = ["main", "run"]
 
@@ -78,21 +75,14 @@ MAX_PRECISION = 4300
 # Formatting and parsing
 # ----------------------------------------------------------------------
 
-def format_decimal(value: Fraction, precision: int) -> str:
-    """Correctly rounded (half-even) fixed-point rendering of a rational.
-
-    A negative value's magnitude is rounded, then signed; one that
-    rounds to zero is written unsigned, as ``round`` gives 0.
-    """
-    text = _decimal(abs(value.numerator), value.denominator, precision)
-    return "-" + text if value < 0 and text.strip("0.") else text
-
-
 def _decimal(num: int, den: int, precision: int) -> str:
-    # For num >= 0 only: divmod floors, which would round a negative
-    # quotient the wrong way. The digits of num/den do not depend on
-    # whether it is reduced: the quotient and the remainder's ratio to
-    # den are the same either way.
+    # num/den correctly rounded (half-even) to precision digits, for
+    # num >= 0 only: divmod floors, which would round a negative
+    # quotient the wrong way. No command writes a negative value: each
+    # is a probability, a frequency, a deviation's magnitude, a mean or
+    # a variance. The digits of num/den do not depend on whether it is
+    # reduced: the quotient and the remainder's ratio to den are the
+    # same either way.
     scale = 10 ** precision
     quotient, remainder = divmod(num * scale, den)
     if 2 * remainder > den or (2 * remainder == den and quotient % 2):
@@ -341,9 +331,8 @@ def _cap_override(args: argparse.Namespace, ceiling: int | None = None) -> int |
 # ----------------------------------------------------------------------
 
 def _cmd_prob(args: argparse.Namespace) -> int:
-    t = parse_tuple_literal(args.tuple)
-    p = tuple_probability(t)
-    print(f"{p} ({format_decimal(p, args.precision)})")
+    count, den = _tuple_odds(parse_tuple_literal(args.tuple))
+    print(f"{_ratio(count, den)} ({_decimal(count, den, args.precision)})")
     return EXIT_OK
 
 
@@ -584,19 +573,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    """Write a marginal law, and for ``xk`` its moments, from the integer kernels' counts."""
     cap = _cap_override(args)
     precision = args.precision
     if args.what == "xk":
         if args.k is None:
             raise MalformedInputError("--what xk requires --k")
-        stat = marginal_xk(args.n, args.k, cap=cap)
-        law = stat.law
-        moments = [("mean", stat.mean), ("variance", stat.variance)]
+        law, total = _xk_law(args.n, args.k, cap)
+        mean, variance = _moments(law, total)
+        moments = [("mean", *mean), ("variance", *variance)]
     else:
         if args.k is not None:
             raise MalformedInputError("--k applies only to --what xk")
-        law = max_distribution(args.n, cap=cap)
+        law, total = _max_law(args.n, cap)
         moments = []
+    heights = [(h, w, total) for h, w in law.items()]
     if args.format == "json":
         import json  # loaded only for the commands that write JSON
 
@@ -604,17 +595,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         rows = [
             {
                 "height": h,
-                "probability": str(p),
-                "probability_decimal": format_decimal(p, precision),
+                "probability": _ratio(num, den),
+                "probability_decimal": _decimal(num, den, precision),
             }
-            for h, p in law.items()
+            for h, num, den in heights
         ]
         payload: dict = {"n": args.n, "generator": "exact", "what": args.what, "rows": rows}
         if args.what == "xk":
             payload["k"] = args.k
-        for name, value in moments:
-            payload[name] = str(value)
-            payload[f"{name}_decimal"] = format_decimal(value, precision)
+        for name, num, den in moments:
+            payload[name] = _ratio(num, den)
+            payload[f"{name}_decimal"] = _decimal(num, den, precision)
         payload["metadata"] = {"precision": precision}
         # dump writes the text as it is encoded, never all of it at once
         json.dump(payload, sys.stdout, indent=2)
@@ -624,8 +615,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         out = sys.stdout
         out.write("height,probability,probability_decimal\n")
         out.writelines(
-            f"{h},{p},{format_decimal(p, precision)}\n"
-            for h, p in [*law.items(), *moments]
+            f"{h},{_ratio(num, den)},{_decimal(num, den, precision)}\n"
+            for h, num, den in [*heights, *moments]
         )
     return EXIT_OK
 
@@ -773,7 +764,7 @@ def run() -> None:
     Once the command has finished and stdout is flushed, or the reader
     has gone, the heap is frozen (:func:`gc.freeze`) just before the
     exit: the interpreter's shutdown collections then skip the objects
-    the imports left tracked (argparse, fractions, numpy), 6 to 22 ms
+    the imports left tracked (argparse, numpy), 6 to 22 ms
     of a small command's wall time on a 2-vCPU guest. Nothing else
     about the exit changes: atexit handlers, the join of worker threads
     and the final flush of the standard streams still run. The

@@ -23,10 +23,13 @@ Monte Carlo report compares its tallies with the integers and the CLI
 streams rows straight from them.
 
 Marginal statistics enumerate no tuples. The set of the first ``k``
-socks alone fixes the table count after draw ``k``, so its law is a
-closed form. The running maximum counts Flajolet's Hermite histories,
+socks alone fixes the table count after draw ``k``, so its integer
+kernel :func:`_xk_law` is a closed form over ``C(2n, k)``; that of the
+running maximum, :func:`_max_law`, counts Flajolet's Hermite histories,
 the perfect matchings of the draw positions, under each ceiling in
-O(n^2) integer steps.
+O(n^2) integer steps, over ``(2n - 1)!!``. The API builds Fractions from
+the kernels, and the CLI renders their integers, as it renders
+:func:`_tuple_odds` for a single tuple.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from .core import KTuple, _check_cap, _walk, validate_ktuple
 from .errors import MalformedInputError, TupleValidityError
 
-# Each function that builds a Fraction imports it, so that the commands
-# that build none (table, path, ktuple, verify, simulate) load neither
+# Each function that builds a Fraction imports it, so that the CLI,
+# whose commands all render integers and build none, loads neither
 # fractions nor the decimal module it imports.
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -54,10 +57,11 @@ __all__ = [
     "max_distribution",
 ]
 
-# Default caps of the marginal laws: marginal_xk sums O(n) binomial
-# terms (0.1 s at n = 1000), and max_distribution walks O(n^3)
-# big-integer steps, under a second at its cap (0.57 to 0.78 s at
-# n = 200, 2.2 s at 300, fresh processes on a 2-vCPU machine).
+# Default caps of the marginal laws: _xk_law sums O(n) binomial terms
+# (marginal_xk takes 24 ms at n = 1000 in-process, stats 1000 --k 1000
+# 76 ms as a fresh process), and _max_law walks O(n^3) big-integer
+# steps, under a second at its cap (stats 200 --what max takes 0.57 to
+# 0.78 s, 2.2 s at 300; fresh processes on a 2-vCPU machine).
 _MARGINAL_CAP = 1000
 _MAX_LAW_CAP = 200
 
@@ -79,6 +83,16 @@ def permutation_count(t: KTuple | Iterable[int]) -> int:
     return (1 << n) * math.factorial(n) * math.prod(k)
 
 
+def _tuple_odds(t: KTuple | Iterable[int]) -> tuple[int, int]:
+    """``(permutation_count(t), (2n)!)``, or ``(0, (2n)!)`` if no ordering realizes ``t``."""
+    k = KTuple(t)
+    try:
+        count = permutation_count(k)
+    except TupleValidityError:
+        count = 0
+    return count, math.factorial(2 * len(k))
+
+
 def tuple_probability(t: KTuple | Iterable[int]) -> Fraction:
     """Exact probability that the process realizes ``t``.
 
@@ -89,11 +103,7 @@ def tuple_probability(t: KTuple | Iterable[int]) -> Fraction:
     """
     from fractions import Fraction
 
-    k = KTuple(t)
-    try:
-        return Fraction(permutation_count(k), math.factorial(2 * len(k)))
-    except TupleValidityError:
-        return Fraction(0)
+    return Fraction(*_tuple_odds(t))
 
 
 def enumerate_ktuples(n: int, *, cap: int | None = None) -> Iterator[KTuple]:
@@ -249,12 +259,12 @@ def _hermite_histories(n: int, ceiling: int) -> int:
     return weights[0]
 
 
-def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
-    """Exact law of the table count after draw ``k``, with mean and variance.
+def _xk_law(n: int, k: int, cap: int | None = None) -> tuple[dict[int, int], int]:
+    """Sets of the first ``k`` socks per table count after draw ``k``, and ``C(2n, k)``.
 
-    ``C(n, j) * C(n - j, h) * 2^h`` of the ``C(2n, k)`` sets of the first
-    ``k`` socks complete ``j = (k - h) / 2`` pairs and leave ``h`` socks
-    on the table. Every such ``h`` has positive mass; keys ascend.
+    ``C(n, j) * C(n - j, h) * 2^h`` of the ``C(2n, k)`` sets complete
+    ``j = (k - h) / 2`` pairs and leave ``h`` socks on the table. Every
+    such ``h`` has a positive count; keys ascend.
     """
     _check_cap(
         n, cap, "marginal law", default=_MARGINAL_CAP, cost="O(n) binomial sum"
@@ -265,36 +275,62 @@ def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
         raise MalformedInputError(
             f"draw index k = {k!r} out of range 1..{2 * n} for n = {n}"
         )
-    from fractions import Fraction
-
-    total = math.comb(2 * n, k)
-    law: dict[int, Fraction] = {}
+    law = {}
     for h in range(k % 2, min(k, 2 * n - k) + 1, 2):
         j = (k - h) // 2
-        law[h] = Fraction(math.comb(n, j) * math.comb(n - j, h) << h, total)
-    mean = sum((h * p for h, p in law.items()), Fraction(0))
-    second = sum((h * h * p for h, p in law.items()), Fraction(0))
-    return MarginalStat(n=n, k=k, law=law, mean=mean, variance=second - mean * mean)
+        law[h] = math.comb(n, j) * math.comb(n - j, h) << h
+    return law, math.comb(2 * n, k)
+
+
+def _moments(law: dict[int, int], total: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Mean and variance of the law ``law[h] / total``, as unreduced ``(num, den)`` pairs.
+
+    With ``s1 = sum(h * w)`` and ``s2 = sum(h^2 * w)``, they are
+    ``s1 / total`` and ``(s2 * total - s1^2) / total^2``.
+    """
+    s1 = sum(h * w for h, w in law.items())
+    s2 = sum(h * h * w for h, w in law.items())
+    return (s1, total), (s2 * total - s1 * s1, total * total)
+
+
+def marginal_xk(n: int, k: int, *, cap: int | None = None) -> MarginalStat:
+    """Exact law of the table count after draw ``k``, with mean and variance.
+
+    The law is :func:`_xk_law`'s counts over ``C(2n, k)``: reachable
+    heights share the parity of ``k``, each has positive mass, and keys
+    ascend.
+    """
+    law, total = _xk_law(n, k, cap)
+    from fractions import Fraction
+
+    mean, variance = _moments(law, total)
+    masses = {h: Fraction(w, total) for h, w in law.items()}
+    return MarginalStat(n, k, masses, Fraction(*mean), Fraction(*variance))
+
+
+def _max_law(n: int, cap: int | None = None) -> tuple[dict[int, int], int]:
+    """Matchings per highest table count over a whole run, and ``(2n - 1)!!``.
+
+    The count at ``m`` is :func:`_hermite_histories`'s under ceiling ``m``
+    and not under ``m - 1``; every height ``1..n`` has one, keys ascending.
+    """
+    _check_cap(
+        n, cap, "maximum law", default=_MAX_LAW_CAP, cost="O(n^3) height count"
+    )
+    upto = [0] + [_hermite_histories(n, m) for m in range(1, n + 1)]
+    law = {m: upto[m] - upto[m - 1] for m in range(1, n + 1)}
+    return law, math.prod(range(1, 2 * n, 2))
 
 
 def max_distribution(n: int, *, cap: int | None = None) -> dict[int, Fraction]:
     """Exact law of the highest table count over a whole run.
 
     Each of the ``(2n - 1)!!`` matchings stands for ``2^n * n!`` orderings,
-    so the mass at ``m`` is the share that :func:`_hermite_histories`
-    counts under ceiling ``m`` and not under ``m - 1``. Every height
-    ``1..n`` has positive mass. Keys ascend; masses sum to 1.
+    so the mass at ``m`` is :func:`_max_law`'s share of the matchings
+    whose path tops out at ``m``. Every height ``1..n`` has positive
+    mass. Keys ascend; masses sum to 1.
     """
-    _check_cap(
-        n, cap, "maximum law", default=_MAX_LAW_CAP, cost="O(n^3) height count"
-    )
+    law, total = _max_law(n, cap)
     from fractions import Fraction
 
-    total = math.prod(range(1, 2 * n, 2))
-    law: dict[int, Fraction] = {}
-    below = 0
-    for m in range(1, n + 1):
-        upto = _hermite_histories(n, m)
-        law[m] = Fraction(upto - below, total)
-        below = upto
-    return law
+    return {m: Fraction(w, total) for m, w in law.items()}

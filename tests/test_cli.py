@@ -3,11 +3,14 @@
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,9 +34,9 @@ from sockpath.cli import (
     _JSON_SIMULATE_CELLS,
     _JSON_TABLE_CELLS,
     _blocks,
+    _decimal,
     _resolve_workers,
     _stream_json,
-    format_decimal,
     main,
 )
 
@@ -50,6 +53,12 @@ def reference_decimal(value: Fraction, precision: int) -> str:
 
 
 class TestFormatDecimal:
+    """``_decimal(num, den, precision)``, the half-even fixed point of every decimal cell.
+
+    Every value a command writes is non-negative, and so is every value
+    checked here.
+    """
+
     @pytest.mark.parametrize(
         "value,precision,expected",
         [
@@ -64,26 +73,25 @@ class TestFormatDecimal:
             (Fraction(25, 1000), 2, "0.02"),
             (Fraction(35, 1000), 2, "0.04"),
             (Fraction(8, 63), 6, "0.126984"),
-            # a negative value's magnitude, rounded, then signed
-            (Fraction(-1, 3), 2, "-0.33"),
-            (Fraction(-5, 2), 2, "-2.50"),
-            (Fraction(-25, 1000), 2, "-0.02"),
-            (Fraction(-35, 1000), 2, "-0.04"),
-            # what rounds to zero carries no sign, as round() gives 0
-            (Fraction(-5, 1000), 2, "0.00"),
-            (Fraction(-1, 10**9), 6, "0.000000"),
+            # a positive value that rounds to zero
+            (Fraction(4, 1000), 2, "0.00"),
+            (Fraction(1, 10**9), 6, "0.000000"),
         ],
     )
     def test_correct_rounding(self, value, precision, expected):
-        assert format_decimal(value, precision) == expected
+        assert _decimal(value.numerator, value.denominator, precision) == expected
         assert reference_decimal(value, precision) == expected
 
     @given(
-        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**12),
         st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=10**6),
     )
-    def test_matches_round(self, value, precision):
-        assert format_decimal(value, precision) == reference_decimal(value, precision)
+    def test_matches_round(self, value, precision, scale):
+        # the digits do not depend on whether num/den is reduced
+        want = reference_decimal(value, precision)
+        assert _decimal(value.numerator, value.denominator, precision) == want
+        assert _decimal(value.numerator * scale, value.denominator * scale, precision) == want
 
 
 @pytest.fixture
@@ -175,6 +183,62 @@ def simulate_oracle(n: int, trials: int, seed: int, fmt: str, precision: int) ->
                    rows, {"n": n, "generator": "simulation"}, metadata)
 
 
+@functools.lru_cache(maxsize=None)
+def _max_law_fractions(n: int) -> dict:
+    return sockpath.max_distribution(n)
+
+
+# the max law's integer counts, for a sweep that checks only their rendering
+_max_law_counts = functools.lru_cache(maxsize=None)(sockpath.probability._max_law)
+
+
+def stats_oracle(n: int, what: str, k, fmt: str, precision: int) -> str:
+    """``stats`` output rendered from the public API's Fractions by csv, json and ``round``."""
+    if what == "xk":
+        stat = sockpath.marginal_xk(n, k)
+        law, moments = stat.law, [("mean", stat.mean), ("variance", stat.variance)]
+    else:
+        law, moments = _max_law_fractions(n), []
+    if fmt == "csv":
+        rows = [[h, str(p), reference_decimal(p, precision)]
+                for h, p in [*law.items(), *moments]]
+        return _render(fmt, ["height", "probability", "probability_decimal"], rows, {}, {})
+    payload = {"n": n, "generator": "exact", "what": what, "rows": [
+        {"height": h, "probability": str(p), "probability_decimal": reference_decimal(p, precision)}
+        for h, p in law.items()
+    ]}
+    if what == "xk":
+        payload["k"] = k
+    for name, value in moments:
+        payload[name] = str(value)
+        payload[f"{name}_decimal"] = reference_decimal(value, precision)
+    payload["metadata"] = {"precision": precision}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.fixture
+def swept_cli(cli, monkeypatch):
+    """``cli`` with one parser for all its calls: a sweep of thousands of
+    small commands then costs their own work, not argparse's set-up."""
+    parser = functools.lru_cache(sockpath.cli._build_parser)
+    monkeypatch.setattr(sockpath.cli, "_build_parser", parser)
+    return cli
+
+
+@contextlib.contextmanager
+def unlimited_int_text():
+    """Lift CPython's limit on the digits of an int written as text, as main() does."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestProb:
     def test_two_thirds(self, cli):
         code, out, _ = cli("prob", "2,1")
@@ -242,6 +306,42 @@ class TestProb:
         p, q = exact.split("/")
         assert p == "1" and q.isdigit() and len(q) > 4300
         assert decimal == "(0.000000)"
+
+    @pytest.mark.parametrize("precision", [1, 6, 30])
+    def test_bytes_equal_the_api_rendered_by_round(self, swept_cli, precision):
+        # every valid tuple of order <= 6, from the chain; every other
+        # tuple of entries 1..n for n <= 4, and a few past n; twenty 1s
+        tuples = [t for n in range(1, 7) for t, _, _ in chain_table(n)]
+        valid = set(tuples)
+        unrealized = [t for n in range(1, 5) for t in itertools.product(range(1, n + 1), repeat=n)
+                      if t not in valid] + [(2,), (3, 1), (1, 5, 1), (8, 6, 5, 4, 3, 2, 1)]
+        # 4^4 + 3^3 + 2^2 + 1 tuples of entries 1..n, 22 of them valid
+        assert len(unrealized) == 266 + 4
+        for t in tuples + unrealized + [(1,) * 20]:
+            p = sockpath.tuple_probability(t)
+            assert (p == 0) == (t not in valid and t != (1,) * 20), t
+            code, out, err = swept_cli("prob", ",".join(map(str, t)), "--precision", str(precision))
+            assert (code, out, err) == (0, f"{p} ({reference_decimal(p, precision)})\n", ""), t
+
+    def test_order_1000_equals_the_chain(self, swept_cli):
+        # Random Dyck paths of order 1000, each drawn from the table-count
+        # chain, and the product of its step probabilities as integers:
+        # with L socks left and h on the table, a draw completes a pair
+        # (a down-step) with probability h/L and opens one with (L - h)/L.
+        # Its tuple holds the height before each down-step.
+        n, rng = 1000, random.Random(1000)
+        for _ in range(20):
+            h, num, t = 0, 1, []
+            for left in range(2 * n, 0, -1):
+                if rng.randrange(left) < h:
+                    num, h = num * h, h - 1
+                    t.append(h + 1)
+                else:
+                    num, h = num * (left - h), h + 1
+            p = Fraction(num, math.factorial(2 * n))
+            code, out, _ = swept_cli("prob", ",".join(map(str, t)))
+            with unlimited_int_text():
+                assert (code, out) == (0, f"{p} ({reference_decimal(p, 6)})\n")
 
 
 class TestTable:
@@ -718,6 +818,55 @@ class TestOpenBlasThreads:
 
 
 class TestStats:
+    @pytest.mark.parametrize("precision", [1, 6, 30])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_the_api_rendered_by_round(self, swept_cli, monkeypatch, fmt, precision):
+        # X_k at every k for n <= 40 and at five k for n = 1000; the
+        # maximum for n <= 60 and n = 200, its counts computed once
+        monkeypatch.setattr(sockpath.cli, "_max_law", _max_law_counts)
+        runs = [(n, "xk", k) for n in range(1, 41) for k in range(1, 2 * n + 1)]
+        runs += [(1000, "xk", k) for k in (1, 999, 1000, 1999, 2000)]
+        runs += [(n, "max", None) for n in [*range(1, 61), 200]]
+        for n, what, k in runs:
+            argv = ["stats", str(n), "--what", what, "--format", fmt, "--precision", str(precision)]
+            if k is not None:
+                argv += ["--k", str(k)]
+            assert swept_cli(*argv) == (0, stats_oracle(n, what, k, fmt, precision), ""), argv
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (("3",), 2, "sockpath: --what xk requires --k\n"),
+            (("3", "--what", "max", "--k", "2"), 2, "sockpath: --k applies only to --what xk\n"),
+            (("3", "--k", "7"), 2, "sockpath: draw index k = 7 out of range 1..6 for n = 3\n"),
+            (("3", "--k", "0"), 2, "sockpath: draw index k = 0 out of range 1..6 for n = 3\n"),
+            (("0", "--what", "max"), 2, "sockpath: n must be a positive integer, got 0\n"),
+            (("1001", "--k", "1"), 3,
+             "sockpath: marginal law for n = 1001 exceeds the cap 1000 of its O(n) binomial "
+             "sum; pass a higher cap= (--max-n in the CLI) to override\n"),
+            (("201", "--what", "max"), 3,
+             "sockpath: maximum law for n = 201 exceeds the cap 200 of its O(n^3) height "
+             "count; pass a higher cap= (--max-n in the CLI) to override\n"),
+            (("3", "--k", "2", "--max-n", "2"), 3,
+             "warning: caps overridden to n <= 2; costs grow like Catalan(n) for table and "
+             "simulate, (2n)! for verify, n for stats --what xk and n^3 for stats --what max\n"
+             "sockpath: marginal law for n = 3 exceeds the cap 2 of its O(n) binomial sum; "
+             "pass a higher cap= (--max-n in the CLI) to override\n"),
+            (("202", "--what", "max", "--max-n", "5"), 3,
+             "warning: caps overridden to n <= 5; costs grow like Catalan(n) for table and "
+             "simulate, (2n)! for verify, n for stats --what xk and n^3 for stats --what max\n"
+             "sockpath: maximum law for n = 202 exceeds the cap 5 of its O(n^3) height count; "
+             "pass a higher cap= (--max-n in the CLI) to override\n"),
+        ],
+    )
+    def test_errors_keep_their_exit_codes_and_lines(self, cli, argv, code, err):
+        assert cli("stats", *argv) == (code, "", err)
+
+    def test_cap_override_runs_past_the_cap(self, cli):
+        code, out, err = cli("stats", "1001", "--k", "3", "--max-n", "1001")
+        assert code == 0 and err.startswith("warning: caps overridden to n <= 1001;")
+        assert out.splitlines()[-2:] == ["mean,1999/667,2.997001", "variance,2664/444889,0.005988"]
+
     def test_xk_csv(self, cli):
         code, out, _ = cli("stats", "2", "--what", "xk", "--k", "2")
         assert code == 0
@@ -911,19 +1060,24 @@ class TestLazyNumpy:
             assert "concurrent.futures" not in new, argv
             assert "logging" not in new, argv
 
-    def test_only_fraction_commands_load_fractions(self):
-        # Fractions are built by prob and stats alone; fractions loads
-        # decimal, which no command needs.
+    def test_no_command_loads_fractions(self):
+        # Every command renders integers over their common denominator;
+        # fractions, and the decimal module it loads, serve the API alone.
         new = self.new_modules(
             ["table", "3"], ["path", "2,1"], ["ktuple", "1,2,1,0"], ["verify", "1"],
-            ["simulate", "1", "--trials", "1"],
+            ["simulate", "1", "--trials", "1"], ["prob", "2,1"], ["prob", "1,2"],
+            ["stats", "3", "--k", "2"], ["stats", "3", "--k", "2", "--format", "json"],
+            ["stats", "3", "--what", "max"], ["stats", "3", "--what", "max", "--format", "json"],
         )
-        assert "sockpath.process" in new
+        assert {"sockpath.process", "json"} <= new
         for module in ("fractions", "decimal"):
             assert module not in new, module
-        for argv in (["prob", "2,1"], ["stats", "3", "--k", "2"], ["stats", "3", "--what", "max"]):
-            new = self.new_modules(argv)
-            assert {"fractions", "decimal"} <= new, argv
+        # while the API still returns Fractions
+        stat = sockpath.marginal_xk(3, 2)
+        values = [sockpath.tuple_probability((2, 1)), sockpath.tuple_probability((1, 2)),
+                  *stat.law.values(), stat.mean, stat.variance,
+                  *sockpath.max_distribution(3).values()]
+        assert all(type(value) is Fraction for value in values), values
 
     def test_star_import_and_attribute_access_load_process(self):
         namespace: dict = {}
